@@ -133,6 +133,36 @@ if [[ $rc_runtime -ne 1 ]] || ! grep -q '^smartctl: error:' "$ARTDIR/runtime_err
 fi
 echo "OK: usage errors exit 2, runtime errors exit 1"
 
+# Corrupt corpora are runtime failures located at the offending line, never
+# usage errors: an offset with z != 0 in a 2-D corpus, a coordinate beyond
+# int8, trailing garbage in an offset token, and a header stencil count far
+# beyond the file (reported before any table is sized from it).
+first_offset() { sed -E "3s/^(([^ ]+ ){5})[^;]+/\1$1/" "$ARTDIR/corpus.txt"; }
+first_offset "0:0:1" > "$ARTDIR/corrupt_z.txt"
+first_offset "200:0:0" > "$ARTDIR/corrupt_coord.txt"
+first_offset "0:0:0junk" > "$ARTDIR/corrupt_junk.txt"
+sed -E '2s/^([^ ]+ [^ ]+ )[0-9]+/\1200000/' "$ARTDIR/corpus.txt" \
+  > "$ARTDIR/corrupt_count.txt"
+for name in corrupt_z corrupt_coord corrupt_junk corrupt_count; do
+  bad="$ARTDIR/$name.txt"
+  if cmp -s "$bad" "$ARTDIR/corpus.txt"; then
+    echo "FAIL: $name: the corruption edit did not apply" >&2
+    exit 1
+  fi
+  set +e
+  "$SMARTCTL" train --corpus "$bad" --out "$ARTDIR/corrupt.smart" \
+    >/dev/null 2>"$ARTDIR/corrupt_err.txt"
+  rc=$?
+  set -e
+  echo "  $name: rc=$rc $(head -n 1 "$ARTDIR/corrupt_err.txt")"
+  if [[ $rc -ne 1 ]] || [[ $(wc -l < "$ARTDIR/corrupt_err.txt") -ne 1 ]] ||
+     ! grep -q "^smartctl: error: $bad:[0-9][0-9]*: " "$ARTDIR/corrupt_err.txt"; then
+    echo "FAIL: $name should exit 1 with one located 'smartctl: error: <file>:<line>:' line" >&2
+    exit 1
+  fi
+done
+echo "OK: corrupt corpora exit 1 with a located one-line diagnostic"
+
 echo "== fault injection: transient faults do not perturb the corpus =="
 # Retried measurements must be bit-identical to a fault-free run: fault
 # decisions are pure hashes and consume no RNG state.

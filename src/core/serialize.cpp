@@ -1,11 +1,18 @@
 #include "core/serialize.hpp"
 
+#include <algorithm>
+#include <array>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
-#include <iomanip>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 
 #include "util/atomic_file.hpp"
 #include "util/serialize_io.hpp"
@@ -26,104 +33,334 @@ std::string checksum_hex(std::string_view bytes) {
   return buf;
 }
 
-std::string encode_offsets(const stencil::StencilPattern& pattern) {
-  std::ostringstream os;
-  bool first = true;
-  for (const stencil::Point& p : pattern.offsets()) {
-    if (!first) os << ';';
-    first = false;
-    os << static_cast<int>(p[0]) << ':' << static_cast<int>(p[1]) << ':'
-       << static_cast<int>(p[2]);
-  }
-  return os.str();
-}
+/// Corpus bytes move through the stream in chunks of this size, so neither
+/// direction holds a whole corpus in memory.
+constexpr std::size_t kChunkBytes = 64 * 1024;
 
-stencil::StencilPattern decode_offsets(int dims, const std::string& text) {
-  std::vector<stencil::Point> points;
-  std::istringstream stream(text);
-  std::string token;
-  while (std::getline(stream, token, ';')) {
-    int x = 0;
-    int y = 0;
-    int z = 0;
-    if (std::sscanf(token.c_str(), "%d:%d:%d", &x, &y, &z) != 3) {
-      throw std::runtime_error("load_dataset: bad offset token '" + token + "'");
-    }
-    points.push_back(stencil::Point{x, y, z});
-  }
-  return stencil::StencilPattern(dims, std::move(points));
-}
-
-void encode_setting(std::ostream& out, const gpusim::ParamSetting& s) {
-  out << s.block_x << ' ' << s.block_y << ' ' << s.merge_factor << ' '
-      << s.merge_dim << ' ' << s.unroll << ' ' << s.stream_tile << ' '
-      << s.stream_dim << ' ' << (s.use_smem ? 1 : 0) << ' ' << s.tb_depth;
-}
-
-gpusim::ParamSetting decode_setting(std::istream& in) {
-  gpusim::ParamSetting s;
-  int use_smem = 0;
-  in >> s.block_x >> s.block_y >> s.merge_factor >> s.merge_dim >> s.unroll >>
-      s.stream_tile >> s.stream_dim >> use_smem >> s.tb_depth;
-  s.use_smem = use_smem != 0;
-  return s;
-}
-
-/// Parse-error context for the corpus reader: every failure names the
-/// source and 1-based line, e.g. "corpus.txt:1042: unparsable time field".
-class DatasetParseContext {
+/// Formats corpus records into one reused buffer that is handed to the
+/// stream whenever a record ends past kChunkBytes. Every spelling matches
+/// what `std::ostream` insertion produces for the same value.
+class CorpusWriter {
  public:
-  explicit DatasetParseContext(std::string source)
-      : source_(std::move(source)) {}
+  explicit CorpusWriter(std::ostream& out)
+      : out_(out), buf_(2 * kChunkBytes) {}
 
-  void advance() noexcept { ++line_no_; }
-  std::size_t line() const noexcept { return line_no_; }
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error(source_ + ":" + std::to_string(line_no_) + ": " +
-                             what);
+  CorpusWriter& operator<<(std::string_view text) {
+    std::memcpy(room(text.size()), text.data(), text.size());
+    used_ += text.size();
+    return *this;
   }
-  void expect(bool condition, const std::string& what) const {
+  CorpusWriter& operator<<(char c) {
+    *room(1) = c;
+    ++used_;
+    return *this;
+  }
+  template <typename Int>
+    requires std::is_integral_v<Int> && (!std::is_same_v<Int, char>) &&
+             (!std::is_same_v<Int, bool>)
+  CorpusWriter& operator<<(Int value) {
+    put_chars(value);
+    return *this;
+  }
+
+  /// As `out << std::setprecision(17) << v`, which is printf "%.17g".
+  void decimal17(double v) {
+    used_ += static_cast<std::size_t>(
+        std::snprintf(room(kNumberBytes), kNumberBytes, "%.17g", v));
+  }
+
+  /// As `out << std::hexfloat << v`, which is printf "%a". Normal values
+  /// and zeros take to_chars; the rest take printf itself, because newer
+  /// libstdc++ runtimes spell a subnormal normalized ("1p-1074" where
+  /// printf writes "0x0.0000000000001p-1022").
+  void hexfloat(double v) {
+    if (!std::isnormal(v) && v != 0.0) {
+      used_ += static_cast<std::size_t>(
+          std::snprintf(room(kNumberBytes), kNumberBytes, "%a", v));
+      return;
+    }
+    if (std::signbit(v)) {
+      *this << '-';
+      v = -v;
+    }
+    *this << "0x";
+    put_chars(v, std::chars_format::hex);
+  }
+
+  void end_record() {
+    *this << '\n';
+    if (used_ >= kChunkBytes) flush();
+  }
+
+  void flush() {
+    out_.write(buf_.data(), static_cast<std::streamsize>(used_));
+    used_ = 0;
+  }
+
+ private:
+  /// Enough for any integer, "%.17g" or "%a" double, terminator included.
+  static constexpr std::size_t kNumberBytes = 32;
+
+  /// Returns `n` writable bytes at the end of the buffer, growing it only
+  /// for a record longer than the slack past one chunk.
+  char* room(std::size_t n) {
+    if (buf_.size() - used_ < n) {
+      buf_.resize(std::max(2 * buf_.size(), used_ + n));
+    }
+    return buf_.data() + used_;
+  }
+
+  template <typename T, typename... Format>
+  void put_chars(T value, Format... format) {
+    char* first = room(kNumberBytes);
+    const char* last =
+        std::to_chars(first, first + kNumberBytes, value, format...).ptr;
+    used_ += static_cast<std::size_t>(last - first);
+  }
+
+  std::ostream& out_;
+  std::vector<char> buf_;
+  std::size_t used_ = 0;
+};
+
+/// Line source and parse-error context for the corpus reader. Lines are
+/// split out of kChunkBytes reads with memchr and handed out as views into
+/// the chunk buffer; every failure names the source and 1-based line, e.g.
+/// "corpus.txt:1042: unparsable time field '1.2.3'".
+class CorpusReader {
+ public:
+  CorpusReader(std::istream& in, std::string source)
+      : in_(in), source_(std::move(source)), buf_(2 * kChunkBytes) {}
+
+  /// Advances to the next line (a final line without '\n' counts) and
+  /// returns it without the terminator; false at end of input. The view
+  /// stays valid until the next call.
+  bool next_line(std::string_view& line) {
+    for (;;) {
+      const char* first = buf_.data() + begin_;
+      const std::size_t avail = end_ - begin_;
+      if (const void* nl = std::memchr(first, '\n', avail)) {
+        line = {first, static_cast<std::size_t>(static_cast<const char*>(nl) -
+                                                first)};
+        begin_ += line.size() + 1;
+        ++line_no_;
+        return true;
+      }
+      if (eof_) {
+        if (avail == 0) return false;
+        line = {first, avail};
+        begin_ = end_;
+        ++line_no_;
+        return true;
+      }
+      // Keep the partial line, then append one more chunk after it (the
+      // buffer only grows for a line longer than a chunk).
+      std::memmove(buf_.data(), first, avail);
+      begin_ = 0;
+      end_ = avail;
+      if (buf_.size() < end_ + kChunkBytes) buf_.resize(end_ + kChunkBytes);
+      in_.read(buf_.data() + end_, static_cast<std::streamsize>(kChunkBytes));
+      end_ += static_cast<std::size_t>(in_.gcount());
+      if (in_.bad()) fail("read error");
+      eof_ = !in_;
+    }
+  }
+
+  /// The line that must come next; when the input ends instead, fails with
+  /// `what` at the number that line would have had.
+  std::string_view expect_line(std::string_view what) {
+    std::string_view line;
+    if (!next_line(line)) {
+      ++line_no_;
+      fail(what);
+    }
+    return line;
+  }
+
+  [[noreturn]] void fail(std::string_view what) const {
+    throw std::runtime_error(source_ + ":" + std::to_string(line_no_) + ": " +
+                             std::string(what));
+  }
+  void expect(bool condition, std::string_view what) const {
     if (!condition) fail(what);
   }
 
  private:
+  std::istream& in_;
   std::string source_;
+  std::vector<char> buf_;
+  std::size_t begin_ = 0;  // unread bytes are buf_[begin_, end_)
+  std::size_t end_ = 0;
+  bool eof_ = false;
   std::size_t line_no_ = 0;
 };
+
+/// Whitespace as `std::istream >>` skips it in the "C" locale: ' ' and
+/// '\t' through '\r'. Every other byte is above ' ' or below '\t'.
+constexpr bool is_space(char c) noexcept {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// Splits the next whitespace-delimited token off the front of `rest`;
+/// empty once `rest` holds no more tokens.
+std::string_view next_token(std::string_view& rest) noexcept {
+  std::size_t first = 0;
+  while (first < rest.size() && is_space(rest[first])) ++first;
+  std::size_t last = first;
+  while (last < rest.size() && !is_space(rest[last])) ++last;
+  const std::string_view token = rest.substr(first, last - first);
+  rest.remove_prefix(last);
+  return token;
+}
+
+/// The N whitespace-delimited fields of `rest`; a line with fewer or more
+/// is an error that names `record`.
+template <std::size_t N>
+std::array<std::string_view, N> split_exact(const CorpusReader& r,
+                                            std::string_view rest,
+                                            std::string_view record) {
+  std::array<std::string_view, N> fields;
+  std::size_t count = 0;
+  for (; count < N; ++count) {
+    fields[count] = next_token(rest);
+    if (fields[count].empty()) break;
+  }
+  if (count == N) {
+    while (!next_token(rest).empty()) ++count;
+  }
+  if (count != N) {
+    r.fail(std::string(record) + " has " + std::to_string(count) +
+           " fields, want " + std::to_string(N));
+  }
+  return fields;
+}
+
+/// Whole-token std::from_chars parse: decimal only, no '+', no '-' for
+/// unsigned types, no out-of-range value, nothing after the number.
+template <typename Number>
+bool parse_number(std::string_view token, Number& out) noexcept {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+bool parse_flag(std::string_view token, bool& out) noexcept {
+  if (token != "0" && token != "1") return false;
+  out = token == "1";
+  return true;
+}
+
+/// Parses "x:y:z;x:y:z;...": each token exactly three integers in
+/// [-max_order, max_order], the axes beyond `dims` zero.
+stencil::StencilPattern parse_offsets(const CorpusReader& r, int dims,
+                                      int max_order, std::string_view text) {
+  std::vector<stencil::Point> points;
+  std::size_t begin = 0;
+  for (;;) {
+    const std::size_t stop = std::min(text.find(';', begin), text.size());
+    const std::string_view token = text.substr(begin, stop - begin);
+    std::array<int, stencil::kMaxDims> xyz{};
+    const char* p = token.data();
+    const char* const end = p + token.size();
+    bool ok = true;
+    for (std::size_t axis = 0; ok && axis < xyz.size(); ++axis) {
+      if (axis > 0) ok = p != end && *p++ == ':';
+      if (!ok) break;
+      const auto res = std::from_chars(p, end, xyz[axis]);
+      ok = res.ec == std::errc{};
+      p = res.ptr;
+    }
+    if (!ok || p != end) {
+      r.fail("bad offset token '" + std::string(token) + "'");
+    }
+    for (std::size_t axis = 0; axis < xyz.size(); ++axis) {
+      if (xyz[axis] < -max_order || xyz[axis] > max_order) {
+        r.fail("offset coordinate out of range in '" + std::string(token) +
+               "' (want -" + std::to_string(max_order) + ".." +
+               std::to_string(max_order) + ")");
+      }
+      if (static_cast<int>(axis) >= dims && xyz[axis] != 0) {
+        r.fail("offset '" + std::string(token) +
+               "' has a non-zero coordinate beyond dims " +
+               std::to_string(dims));
+      }
+    }
+    points.emplace_back(xyz[0], xyz[1], xyz[2]);
+    if (stop == text.size()) break;
+    begin = stop + 1;
+  }
+  return stencil::StencilPattern(dims, std::move(points));
+}
+
+/// Header line: dims max_order num_stencils samples_per_oc seed noise_sigma
+/// vary_size vary_boundary. Returns the declared stencil count, which is
+/// only compared with the records actually read, never used to allocate.
+std::size_t parse_header(const CorpusReader& r, std::string_view line,
+                         ProfileConfig& config) {
+  const auto f = split_exact<8>(r, line, "header");
+  std::size_t num_stencils = 0;
+  r.expect(parse_number(f[0], config.dims) && parse_number(f[1], config.max_order) &&
+               parse_number(f[2], num_stencils) &&
+               parse_number(f[3], config.samples_per_oc) &&
+               parse_number(f[4], config.seed) &&
+               parse_number(f[5], config.sim.noise_sigma) &&
+               parse_flag(f[6], config.vary_problem_size) &&
+               parse_flag(f[7], config.vary_boundary),
+           "unparsable header");
+  r.expect(config.dims == 2 || config.dims == 3, "header dims must be 2 or 3");
+  r.expect(config.max_order >= 1 &&
+               config.max_order <= std::numeric_limits<std::int8_t>::max(),
+           "header max_order out of range");
+  r.expect(std::isfinite(config.sim.noise_sigma) &&
+               config.sim.noise_sigma >= 0.0,
+           "header noise_sigma must be finite and non-negative");
+  return num_stencils;
+}
 
 }  // namespace
 
 void save_dataset(const ProfileDataset& ds, std::ostream& out) {
   const util::PhaseTimer timer("serialize.save_corpus");
-  out << kMagic << '\n';
-  out << std::setprecision(17);
-  out << ds.config.dims << ' ' << ds.config.max_order << ' '
-      << ds.stencils.size() << ' ' << ds.config.samples_per_oc << ' '
-      << ds.config.seed << ' ' << ds.config.sim.noise_sigma << ' '
-      << (ds.config.vary_problem_size ? 1 : 0) << ' '
-      << (ds.config.vary_boundary ? 1 : 0) << '\n';
+  CorpusWriter w(out);
+  w << kMagic;
+  w.end_record();
+  w << ds.config.dims << ' ' << ds.config.max_order << ' '
+    << ds.stencils.size() << ' ' << ds.config.samples_per_oc << ' '
+    << ds.config.seed << ' ';
+  w.decimal17(ds.config.sim.noise_sigma);
+  w << ' ' << (ds.config.vary_problem_size ? 1 : 0) << ' '
+    << (ds.config.vary_boundary ? 1 : 0);
+  w.end_record();
   // Shard header: only partial corpora carry one, so a complete corpus —
   // including `smartctl merge` output — stays byte-identical to the
   // pre-shard format (and to an uninterrupted single-process run).
   if (ds.shard.sharded()) {
-    out << "shard " << ds.shard.index << ' ' << ds.shard.count << ' '
-        << ds.shard_retries << ' '
-        << (ds.shard_fault_spec.empty() ? "-" : ds.shard_fault_spec) << '\n';
+    w << "shard " << ds.shard.index << ' ' << ds.shard.count << ' '
+      << ds.shard_retries << ' '
+      << (ds.shard_fault_spec.empty() ? "-" : ds.shard_fault_spec);
+    w.end_record();
   }
 
   for (std::size_t s = 0; s < ds.stencils.size(); ++s) {
     const auto& prob = ds.problems[s];
-    out << "stencil " << prob.nx << ' ' << prob.ny << ' ' << prob.nz << ' '
-        << (prob.boundary == stencil::Boundary::kPeriodic ? 1 : 0) << ' '
-        << encode_offsets(ds.stencils[s]) << '\n';
+    w << "stencil " << prob.nx << ' ' << prob.ny << ' ' << prob.nz << ' '
+      << (prob.boundary == stencil::Boundary::kPeriodic ? 1 : 0) << ' ';
+    bool first = true;
+    for (const stencil::Point& p : ds.stencils[s].offsets()) {
+      if (!first) w << ';';
+      first = false;
+      w << p[0] << ':' << p[1] << ':' << p[2];
+    }
+    w.end_record();
   }
   for (std::size_t s = 0; s < ds.stencils.size(); ++s) {
     for (std::size_t oc = 0; oc < ProfileDataset::num_ocs(); ++oc) {
-      for (const auto& setting : ds.settings[s][oc]) {
-        out << "setting " << s << ' ' << oc << ' ';
-        encode_setting(out, setting);
-        out << '\n';
+      for (const auto& c : ds.settings[s][oc]) {
+        w << "setting " << s << ' ' << oc << ' ' << c.block_x << ' '
+          << c.block_y << ' ' << c.merge_factor << ' ' << c.merge_dim << ' '
+          << c.unroll << ' ' << c.stream_tile << ' ' << c.stream_dim << ' '
+          << (c.use_smem ? 1 : 0) << ' ' << c.tb_depth;
+        w.end_record();
       }
     }
   }
@@ -132,21 +369,23 @@ void save_dataset(const ProfileDataset& ds, std::ostream& out) {
       for (std::size_t oc = 0; oc < ProfileDataset::num_ocs(); ++oc) {
         const auto& ts = ds.times[s][g][oc];
         for (std::size_t k = 0; k < ts.size(); ++k) {
-          out << "time " << s << ' ' << g << ' ' << oc << ' ' << k << ' ';
+          w << "time " << s << ' ' << g << ' ' << oc << ' ' << k << ' ';
           if (std::isnan(ts[k])) {
-            out << "crash";
+            w << "crash";
           } else {
-            out << std::hexfloat << ts[k] << std::defaultfloat;
+            w.hexfloat(ts[k]);
           }
-          out << '\n';
+          w.end_record();
         }
       }
     }
   }
   for (const auto& q : ds.quarantined) {
-    out << "quar " << q.stencil << ' ' << q.oc << ' ' << q.gpu << ' '
-        << q.reason << '\n';
+    w << "quar " << q.stencil << ' ' << q.oc << ' ' << q.gpu << ' '
+      << q.reason;
+    w.end_record();
   }
+  w.flush();
   if (!out) throw std::runtime_error("save_dataset: stream write failed");
 }
 
@@ -157,126 +396,138 @@ void save_dataset(const ProfileDataset& dataset, const std::string& path) {
 
 ProfileDataset load_dataset(std::istream& in, const std::string& source) {
   const util::PhaseTimer timer("serialize.load_corpus");
-  DatasetParseContext ctx(source);
-  std::string line;
-
-  ctx.advance();
-  ctx.expect(static_cast<bool>(std::getline(in, line)), "empty corpus file");
-  ctx.expect(line == kMagic,
-             "not a StencilMART corpus (bad magic '" + line + "')");
-
-  ProfileDataset ds;
-  std::size_t num_stencils = 0;
-  {
-    ctx.advance();
-    ctx.expect(static_cast<bool>(std::getline(in, line)), "missing header");
-    std::istringstream header(line);
-    int vary_size = 0;
-    int vary_boundary = 0;
-    header >> ds.config.dims >> ds.config.max_order >> num_stencils >>
-        ds.config.samples_per_oc >> ds.config.seed >>
-        ds.config.sim.noise_sigma >> vary_size >> vary_boundary;
-    ctx.expect(static_cast<bool>(header), "unparsable header");
-    ds.config.num_stencils = static_cast<int>(num_stencils);
-    ds.config.vary_problem_size = vary_size != 0;
-    ds.config.vary_boundary = vary_boundary != 0;
+  CorpusReader r(in, source);
+  std::string_view line = r.expect_line("empty corpus file");
+  if (line != kMagic) {
+    r.fail("not a StencilMART corpus (bad magic '" + std::string(line) + "')");
   }
+  ProfileDataset ds;
+  const std::size_t declared =
+      parse_header(r, r.expect_line("missing header"), ds.config);
   ds.problem = gpusim::ProblemSize::paper_default(ds.config.dims);
   ds.gpus = gpusim::evaluation_gpus();
-
+  const std::size_t num_gpus = ds.gpus.size();
   const std::size_t num_ocs = ProfileDataset::num_ocs();
-  ds.settings.assign(num_stencils,
-                     std::vector<std::vector<gpusim::ParamSetting>>(num_ocs));
-  ds.times.assign(num_stencils,
-                  std::vector<std::vector<std::vector<double>>>(
-                      ds.gpus.size(),
-                      std::vector<std::vector<double>>(num_ocs)));
 
-  while (std::getline(in, line)) {
-    ctx.advance();
+  // The setting and time tables are sized from the stencil records read,
+  // once the first record after them arrives, so a corrupt header count is
+  // reported there instead of being allocated.
+  bool sized = false;
+  const auto size_tables = [&] {
+    if (ds.stencils.size() != declared) {
+      r.fail("stencil count mismatch (header says " +
+             std::to_string(declared) + ", file has " +
+             std::to_string(ds.stencils.size()) + ")");
+    }
+    ds.settings.assign(declared,
+                       std::vector<std::vector<gpusim::ParamSetting>>(num_ocs));
+    ds.times.assign(declared, std::vector<std::vector<std::vector<double>>>(
+                                  num_gpus,
+                                  std::vector<std::vector<double>>(num_ocs)));
+    sized = true;
+  };
+
+  while (r.next_line(line)) {
     if (line.empty()) continue;
-    std::istringstream record(line);
-    std::string tag;
-    record >> tag;
-    if (tag == "shard") {
-      ctx.expect(!ds.shard.sharded(), "duplicate shard header");
-      std::string spec;
-      record >> ds.shard.index >> ds.shard.count >> ds.shard_retries >> spec;
-      ctx.expect(static_cast<bool>(record), "unparsable shard header");
-      ctx.expect(ds.shard.count >= 2 && ds.shard.index < ds.shard.count,
-                 "shard header out of range (want 0 <= i < N, N >= 2)");
-      ctx.expect(ds.shard_retries >= 0, "negative shard retry budget");
-      ds.shard_fault_spec = spec == "-" ? std::string{} : spec;
-    } else if (tag == "stencil") {
-      gpusim::ProblemSize prob;
-      int periodic = 0;
-      std::string offsets;
-      record >> prob.nx >> prob.ny >> prob.nz >> periodic >> offsets;
-      ctx.expect(static_cast<bool>(record), "unparsable stencil record");
-      prob.boundary = periodic != 0 ? stencil::Boundary::kPeriodic
-                                    : stencil::Boundary::kDirichletZero;
-      ds.problems.push_back(prob);
-      try {
-        ds.stencils.push_back(decode_offsets(ds.config.dims, offsets));
-      } catch (const std::runtime_error& e) {
-        ctx.fail(e.what());
-      }
-    } else if (tag == "setting") {
-      std::size_t s = 0;
-      std::size_t oc = 0;
-      record >> s >> oc;
-      ctx.expect(static_cast<bool>(record), "unparsable setting indices");
-      ctx.expect(s < num_stencils && oc < num_ocs,
-                 "setting index out of range");
-      ds.settings[s][oc].push_back(decode_setting(record));
-      ctx.expect(static_cast<bool>(record), "unparsable setting record");
-    } else if (tag == "time") {
+    std::string_view rest = line;
+    const std::string_view tag = next_token(rest);
+    if (tag == "time") {
+      if (!sized) size_tables();
+      const auto f = split_exact<5>(r, rest, "time record");
       std::size_t s = 0;
       std::size_t g = 0;
       std::size_t oc = 0;
       std::size_t k = 0;
-      std::string value;
-      record >> s >> g >> oc >> k >> value;
-      ctx.expect(static_cast<bool>(record), "unparsable time record");
-      ctx.expect(s < num_stencils && g < ds.gpus.size() && oc < num_ocs,
-                 "time index out of range");
+      r.expect(parse_number(f[0], s) && parse_number(f[1], g) &&
+                   parse_number(f[2], oc) && parse_number(f[3], k),
+               "unparsable time record");
+      r.expect(s < declared && g < num_gpus && oc < num_ocs,
+               "time index out of range");
       auto& ts = ds.times[s][g][oc];
-      ctx.expect(k == ts.size(), "time records out of order");
-      if (value == "crash") {
+      r.expect(k == ts.size(), "time records out of order");
+      // One time per sampled setting is the common case; size for it once.
+      if (ts.empty()) ts.reserve(ds.settings[s][oc].size());
+      if (f[4] == "crash") {
         ts.push_back(std::numeric_limits<double>::quiet_NaN());
-      } else {
-        // Strict parse: a half-parsed token silently becoming 0.0 (or a
-        // smuggled NaN/inf) would corrupt every model trained on the corpus.
-        double time_ms = 0.0;
-        ctx.expect(util::parse_f64_strict(value, time_ms),
-                   "unparsable time field '" + value + "'");
-        ctx.expect(std::isfinite(time_ms) && time_ms > 0.0,
-                   "non-finite or non-positive time field '" + value + "'");
-        ts.push_back(time_ms);
+        continue;
       }
+      // Strict parse: a half-parsed token silently becoming 0.0 (or a
+      // smuggled NaN/inf) would corrupt every model trained on the corpus.
+      double time_ms = 0.0;
+      if (!util::parse_f64_strict(f[4], time_ms)) {
+        r.fail("unparsable time field '" + std::string(f[4]) + "'");
+      }
+      if (!std::isfinite(time_ms) || time_ms <= 0.0) {
+        r.fail("non-finite or non-positive time field '" + std::string(f[4]) +
+               "'");
+      }
+      ts.push_back(time_ms);
+    } else if (tag == "setting") {
+      if (!sized) size_tables();
+      const auto f = split_exact<11>(r, rest, "setting record");
+      std::size_t s = 0;
+      std::size_t oc = 0;
+      r.expect(parse_number(f[0], s) && parse_number(f[1], oc),
+               "unparsable setting indices");
+      r.expect(s < declared && oc < num_ocs, "setting index out of range");
+      gpusim::ParamSetting c;
+      r.expect(parse_number(f[2], c.block_x) && parse_number(f[3], c.block_y) &&
+                   parse_number(f[4], c.merge_factor) &&
+                   parse_number(f[5], c.merge_dim) && parse_number(f[6], c.unroll) &&
+                   parse_number(f[7], c.stream_tile) &&
+                   parse_number(f[8], c.stream_dim) &&
+                   parse_flag(f[9], c.use_smem) && parse_number(f[10], c.tb_depth),
+               "unparsable setting record");
+      ds.settings[s][oc].push_back(c);
+    } else if (tag == "stencil") {
+      r.expect(!sized,
+               "stencil record after the setting, time or quar records");
+      const auto f = split_exact<5>(r, rest, "stencil record");
+      gpusim::ProblemSize prob;
+      bool periodic = false;
+      r.expect(parse_number(f[0], prob.nx) && parse_number(f[1], prob.ny) &&
+                   parse_number(f[2], prob.nz) && parse_flag(f[3], periodic),
+               "unparsable stencil record");
+      prob.boundary = periodic ? stencil::Boundary::kPeriodic
+                               : stencil::Boundary::kDirichletZero;
+      ds.stencils.push_back(
+          parse_offsets(r, ds.config.dims, ds.config.max_order, f[4]));
+      ds.problems.push_back(prob);
     } else if (tag == "quar") {
+      if (!sized) size_tables();
       QuarantineRecord q;
-      record >> q.stencil >> q.oc >> q.gpu;
-      ctx.expect(static_cast<bool>(record), "unparsable quarantine record");
-      ctx.expect(q.stencil < num_stencils && q.gpu < ds.gpus.size() &&
-                     q.oc < num_ocs,
-                 "quarantine index out of range");
-      std::getline(record, q.reason);
-      if (!q.reason.empty() && q.reason.front() == ' ') q.reason.erase(0, 1);
+      r.expect(parse_number(next_token(rest), q.stencil) &&
+                   parse_number(next_token(rest), q.oc) &&
+                   parse_number(next_token(rest), q.gpu),
+               "unparsable quarantine record");
+      r.expect(q.stencil < declared && q.gpu < num_gpus && q.oc < num_ocs,
+               "quarantine index out of range");
+      // The reason is free text: the rest of the line after one separator.
+      if (!rest.empty() && rest.front() == ' ') rest.remove_prefix(1);
+      q.reason = rest;
       ds.quarantined.push_back(std::move(q));
+    } else if (tag == "shard") {
+      r.expect(!ds.shard.sharded(), "duplicate shard header");
+      const auto f = split_exact<4>(r, rest, "shard header");
+      r.expect(parse_number(f[0], ds.shard.index) &&
+                   parse_number(f[1], ds.shard.count) &&
+                   parse_number(f[2], ds.shard_retries),
+               "unparsable shard header");
+      r.expect(ds.shard.count >= 2 && ds.shard.index < ds.shard.count,
+               "shard header out of range (want 0 <= i < N, N >= 2)");
+      r.expect(ds.shard_retries >= 0, "negative shard retry budget");
+      ds.shard_fault_spec = f[3] == "-" ? std::string_view{} : f[3];
     } else {
-      ctx.fail("unknown tag '" + tag + "'");
+      r.fail("unknown tag '" + std::string(tag) + "'");
     }
   }
-  ctx.expect(ds.stencils.size() == num_stencils,
-             "stencil count mismatch (header says " +
-                 std::to_string(num_stencils) + ", file has " +
-                 std::to_string(ds.stencils.size()) + ")");
+  if (!sized) size_tables();
+  ds.config.num_stencils = static_cast<int>(declared);
   return ds;
 }
 
 ProfileDataset load_dataset(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("load_dataset: cannot open " + path);
   return load_dataset(in, path);
 }

@@ -3,13 +3,15 @@
 // measurements, then model fitting), so StencilMART persists both:
 //
 // Profiled corpora use a plain-text sectioned format that is stable across
-// runs and diff-friendly:
+// runs and diff-friendly, one record per line:
 //
-//   [header]   dims max_order num_stencils samples_per_oc seed noise_sigma
-//   [shard]    shard_idx shard_count retries fault_spec|-   (shards only)
-//   [stencil]  dims nx ny nz boundary offsets(x:y:z;...)
-//   [settings] stencil_idx oc_idx block_x block_y ... tb_depth
-//   [times]    stencil_idx gpu_idx oc_idx setting_idx time_ms|crash
+//   stencilmart-dataset-v1
+//   dims max_order num_stencils samples_per_oc seed noise_sigma vary vary
+//   shard shard_idx shard_count retries fault_spec|-    (shards only)
+//   stencil nx ny nz periodic x:y:z;x:y:z;...           (num_stencils)
+//   setting stencil_idx oc_idx block_x block_y ... tb_depth
+//   time stencil_idx gpu_idx oc_idx setting_idx time_ms|crash
+//   quar stencil_idx oc_idx gpu_idx free-text reason
 //
 // Trained models use a versioned, checksummed artifact (the train-once /
 // serve-many path):
@@ -44,6 +46,9 @@ void save_dataset(const ProfileDataset& dataset, const std::string& path);
 /// "<source>:<line>: ..." context (e.g. "corpus.txt:1042: unparsable time
 /// field '1.2.3'"); the result is bit-identical to the saved dataset
 /// (validated by tests). `source` names the stream in error messages.
+/// Records must carry exactly their fields and offsets must lie within the
+/// header's dims and max_order; the header's stencil count is checked
+/// against the stencil records before any table is sized (DESIGN.md §11).
 ProfileDataset load_dataset(std::istream& in,
                             const std::string& source = "<stream>");
 ProfileDataset load_dataset(const std::string& path);

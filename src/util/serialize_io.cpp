@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <climits>
 #include <cmath>
 #include <cstdlib>
@@ -12,12 +13,40 @@
 
 namespace smart::util {
 
-bool parse_f64_strict(const std::string& token, double& out) {
+namespace {
+
+constexpr bool is_hex_digit(char c) noexcept {
+  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') ||
+         (c >= 'A' && c <= 'F');
+}
+
+}  // namespace
+
+bool parse_f64_strict(std::string_view token, double& out) {
+  // Fast path for the hexfloat spelling every writer in the tree emits.
+  // Requiring a hex digit after "0x" keeps from_chars away from the tokens
+  // strtod rejects but from_chars would take once the prefix is stripped
+  // ("0x-1p0", "0xinf", "0xnan"). Where from_chars consumes the whole token
+  // it agrees with strtod bit for bit; anything else, including a result
+  // from_chars calls out of range (strtod rounds "0x1p-1080" to 0 and that
+  // is accepted), falls through to strtod.
+  if (token.size() > 2 && token[0] == '0' && token[1] == 'x' &&
+      is_hex_digit(token[2])) {
+    const char* end = token.data() + token.size();
+    double value = 0.0;
+    const auto [ptr, ec] = std::from_chars(token.data() + 2, end, value,
+                                           std::chars_format::hex);
+    if (ec == std::errc{} && ptr == end) {
+      out = value;
+      return true;
+    }
+  }
   if (token.empty()) return false;
+  const std::string text(token);  // strtod needs a terminator
   errno = 0;
   char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size()) return false;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size()) return false;
   if (errno == ERANGE && std::isinf(value)) return false;  // overflowed
   out = value;
   return true;

@@ -20,7 +20,11 @@ namespace smart::util {
 /// (so "2x", "", and "1.0junk" all fail). Returns false on any malformed
 /// input; out is untouched on failure. Accepts hexfloat, "nan" and "inf"
 /// spellings (callers decide whether non-finite values are legal).
-bool parse_f64_strict(const std::string& token, double& out);
+/// Accepts exactly the tokens, and yields exactly the values, of a strtod
+/// whose end pointer must reach the end of the token and which must not
+/// overflow; the writers' own "0x<hex digit>..." spelling is parsed without
+/// a copy or a strtod call.
+bool parse_f64_strict(std::string_view token, double& out);
 
 /// End-pointer-validated signed integer parse with range checking.
 bool parse_i64_strict(const std::string& token, long long& out);

@@ -3,14 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 namespace smart::gpusim {
 namespace {
 
+// gtest prints this struct's raw bytes into each test's name, so it must
+// have no padding: padding bytes are uninitialised and would make the
+// names differ from one build or run to the next.
 struct SpaceCase {
-  std::uint8_t oc_bits;
+  std::uint32_t oc_bits;
   int dims;
 };
+static_assert(sizeof(SpaceCase) == sizeof(std::uint32_t) + sizeof(int));
 
 class ParamSpaceProperty : public ::testing::TestWithParam<SpaceCase> {};
 
