@@ -2,11 +2,12 @@
 // through the batched predict_table path against an equivalent per-variant
 // prediction loop (one model invocation per (triple, GPU), re-encoding the
 // stencil each call — the cost profile of the pre-batching implementation).
-// The baseline is pinned to the legacy scalar kernels (SMART_SIMD off,
-// strict precision); the batched path is timed twice, once in the default
-// strict/f64 mode (checked BITWISE identical to the baseline) and once in
-// relaxed/f32 mode (checked against a relative-error gate; bitwise for GBR,
-// whose flattened traversal is exact). All runs are single-threaded
+// The baseline is pinned to the legacy scalar dense kernels (SMART_SIMD
+// off, strict precision; GBR has one forest walk, which reads neither
+// knob); the batched path is timed twice, once in the default strict/f64
+// mode (checked BITWISE identical to the baseline) and once in relaxed/f32
+// mode (checked against a relative-error gate; bitwise for GBR, whose
+// forest walk is exact). All runs are single-threaded
 // (util::SerialSection), so the speedups measure encoding caching +
 // vectorized kernels, not thread fan-out. Every timing is the min over
 // SMART_BENCH_REPEATS runs (default 3) — the least-interference estimate.
@@ -160,9 +161,9 @@ int main() {
     // cache and the vectorized kernels alone.
     const util::SerialSection serial;
 
-    // Baseline: the legacy scalar path — per-variant calls with the fused/
-    // flattened kernels off and strict precision, i.e. the pre-SIMD cost
-    // profile.
+    // Baseline: the legacy scalar path — per-variant calls with the fused
+    // dense kernels off and strict precision, i.e. the pre-SIMD cost
+    // profile of the NN kinds.
     std::vector<double> per_call(idxs.size() * gpus.size());
     double t_base = std::numeric_limits<double>::infinity();
     {
@@ -202,7 +203,7 @@ int main() {
     }
     all_identical = all_identical && identical;
 
-    // Batched, relaxed/f32: tolerance-gated (bitwise for GBR — flattened
+    // Batched, relaxed/f32: tolerance-gated (bitwise for GBR — the forest
     // traversal is exact in every precision mode).
     core::PredictionTable f32_table;
     double t_f32 = std::numeric_limits<double>::infinity();

@@ -3,6 +3,8 @@
 // stencil representation, and model inference.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "core/stencilmart.hpp"
 #include "ml/gbdt.hpp"
 #include "ml/models.hpp"
@@ -112,6 +114,32 @@ void BM_GbdtInference(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GbdtInference);
+
+// One OC-group classification as serve runs it per (stencil, GPU): the
+// default 120 rounds x 5 classes of depth-5 trees over the 11 Table II
+// features, one row per call.
+void BM_GbdtClassifierPredictRow(benchmark::State& state) {
+  util::Rng rng(14);
+  const std::size_t n = 500;
+  constexpr int kClasses = 5;
+  ml::Matrix x(n, 11);
+  std::vector<int> labels(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t c = 0; c < 11; ++c) {
+      x.at(i, c) = static_cast<float>(rng.uniform(0.0, 1.0));
+    }
+    const float s = x.at(i, 0) + 0.5f * x.at(i, 1) + 0.25f * x.at(i, 2);
+    labels[i] = std::min(kClasses - 1, static_cast<int>(s * 2.8f));
+  }
+  ml::GbdtClassifier model;
+  model.fit(x, labels, kClasses);
+  std::size_t r = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.predict_row(x.row(r)));
+    r = r + 1 == n ? 0 : r + 1;
+  }
+}
+BENCHMARK(BM_GbdtClassifierPredictRow);
 
 void BM_MlpInference(benchmark::State& state) {
   util::Rng rng(12);

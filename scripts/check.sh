@@ -135,15 +135,19 @@ echo "OK: usage errors exit 2, runtime errors exit 1"
 
 # Corrupt corpora are runtime failures located at the offending line, never
 # usage errors: an offset with z != 0 in a 2-D corpus, a coordinate beyond
-# int8, trailing garbage in an offset token, and a header stencil count far
-# beyond the file (reported before any table is sized from it).
+# int8, trailing garbage in an offset token, a header stencil count far
+# beyond the file (reported before any table is sized from it), and a unit
+# whose time list lost its last record (`time 0 0 0 1` here, `time 0 0 0 3`
+# in the 4-sample golden corpus; reported at the end of the corpus).
 first_offset() { sed -E "3s/^(([^ ]+ ){5})[^;]+/\1$1/" "$ARTDIR/corpus.txt"; }
 first_offset "0:0:1" > "$ARTDIR/corrupt_z.txt"
 first_offset "200:0:0" > "$ARTDIR/corrupt_coord.txt"
 first_offset "0:0:0junk" > "$ARTDIR/corrupt_junk.txt"
 sed -E '2s/^([^ ]+ [^ ]+ )[0-9]+/\1200000/' "$ARTDIR/corpus.txt" \
   > "$ARTDIR/corrupt_count.txt"
-for name in corrupt_z corrupt_coord corrupt_junk corrupt_count; do
+last_time=$(grep -n '^time 0 0 0 ' "$ARTDIR/corpus.txt" | tail -n 1 | cut -d: -f1)
+sed "${last_time}d" "$ARTDIR/corpus.txt" > "$ARTDIR/corrupt_short.txt"
+for name in corrupt_z corrupt_coord corrupt_junk corrupt_count corrupt_short; do
   bad="$ARTDIR/$name.txt"
   if cmp -s "$bad" "$ARTDIR/corpus.txt"; then
     echo "FAIL: $name: the corruption edit did not apply" >&2
@@ -933,30 +937,30 @@ echo "OK: TSan daemon raced 8 jittered connections through a hot reload cleanly"
 echo "== bench smoke: batched advisor inference =="
 # Small corpus (SMART_SCALE) keeps this a smoke test; the bench itself
 # fails (exit 1) if any f64 batched prediction is not bit-identical to the
-# per-variant call or any f32 prediction is outside the tolerance gate, and
-# appends a trajectory point to BENCH_advisor.json. The >= 4x MLP f32
-# speedup acceptance gate applies at SMART_SCALE=1.
+# per-variant call or any f32 prediction is outside the tolerance gate. The
+# >= 4x MLP f32 speedup acceptance gate applies at SMART_SCALE=1. The smoke
+# steps write their trajectory points under $ARTDIR, so the script leaves
+# the tracked BENCH_*.json files alone; run a bench by hand to append one.
 SMART_SCALE=${SMART_BENCH_SCALE:-0.05} \
-  SMART_BENCH_JSON="$PWD/BENCH_advisor.json" \
+  SMART_BENCH_JSON="$ARTDIR/BENCH_advisor.json" \
   SMART_BENCH_REPEATS=1 \
   "$BUILD_DIR/bench/bench_advisor_batch"
 
 echo "== bench smoke: two-phase profiling substrate =="
 # Exit 1 inside the bench if the monolithic sweep and the cached-analysis
-# sweep ever diverge bitwise; appends a trajectory point to
-# BENCH_profile.json. The >= 2x end-to-end gate applies at SMART_SCALE=1
-# (the scale-1 3-D corpus); the smoke scale only checks equivalence.
+# sweep ever diverge bitwise. The >= 2x end-to-end gate applies at
+# SMART_SCALE=1 (the scale-1 3-D corpus); the smoke scale only checks
+# equivalence.
 SMART_SCALE=${SMART_BENCH_SCALE:-0.05} \
-  SMART_BENCH_JSON="$PWD/BENCH_profile.json" \
+  SMART_BENCH_JSON="$ARTDIR/BENCH_profile.json" \
   SMART_BENCH_REPEATS=1 \
   "$BUILD_DIR/bench/bench_profile"
 
 echo "== bench smoke: serve-mode resident daemon =="
 # The bench fails (exit 1) if any serve reply is not byte-identical to the
-# per-item advise()/recommend_gpu() report, and appends a trajectory point
-# to BENCH_serve.json. The >= 10x resident-vs-cold speedup acceptance gate
-# applies at SMART_SCALE=1 (the paper's 500-stencil corpus); the smoke
-# scale only checks equivalence and liveness.
+# per-item advise()/recommend_gpu() report. The >= 10x resident-vs-cold
+# speedup acceptance gate applies at SMART_SCALE=1 (the paper's 500-stencil
+# corpus); the smoke scale only checks equivalence and liveness.
 SMART_SCALE=${SMART_BENCH_SCALE:-0.05} \
-  SMART_BENCH_JSON="$PWD/BENCH_serve.json" \
+  SMART_BENCH_JSON="$ARTDIR/BENCH_serve.json" \
   "$BUILD_DIR/bench/bench_serve"

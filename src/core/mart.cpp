@@ -84,6 +84,13 @@ OcAdvice StencilMart::advise(const stencil::StencilPattern& pattern,
 
 OcAdvice StencilMart::advise_variant(const stencil::StencilPattern& pattern,
                                      std::size_t g) const {
+  OcAdvice advice = classify_variant(pattern, g);
+  tune_variant(pattern, g, advice);
+  return advice;
+}
+
+OcAdvice StencilMart::classify_variant(const stencil::StencilPattern& pattern,
+                                       std::size_t g) const {
   if (pattern.dims() != config_.profile.dims) {
     throw std::invalid_argument(
         "StencilMart::advise: pattern dimensionality differs from the "
@@ -98,7 +105,11 @@ OcAdvice StencilMart::advise_variant(const stencil::StencilPattern& pattern,
   advice.group_name = merger_.group_name(advice.group);
   const int rep = merger_.representative(advice.group);
   advice.oc = gpusim::valid_combinations()[static_cast<std::size_t>(rep)];
+  return advice;
+}
 
+void StencilMart::tune_variant(const stencil::StencilPattern& pattern,
+                               std::size_t g, OcAdvice& advice) const {
   // Tune the advised OC only (this is the whole point: 1/30 of the cost).
   const gpusim::Simulator sim(config_.profile.sim);
   const gpusim::RandomSearchTuner tuner(sim, config_.tuning_samples);
@@ -123,7 +134,6 @@ OcAdvice StencilMart::advise_variant(const stencil::StencilPattern& pattern,
   }
   advice.setting = *result.best_setting;
   advice.expected_time_ms = result.best_time_ms;
-  return advice;
 }
 
 std::vector<AdviseBatchResult> StencilMart::advise_batch(
@@ -199,15 +209,30 @@ std::vector<AdviseBatchResult> StencilMart::advise_batch(
   }
 
   {
-    // Tuning dominates the batch cost; jobs are independent and their RNG is
-    // derived from (pattern hash, GPU), so the fan-out is order- and
-    // thread-count-invariant.
     const util::PhaseTimer timer("advisor.batch_tune", jobs.size());
+    {
+      // One classifier walk per variant is a few microseconds: a serial
+      // pass costs less than a pool hand-off.
+      const util::PhaseTimer classify("advisor.classify", jobs.size());
+      for (VariantJob& job : jobs) {
+        try {
+          job.advice = classify_variant(*job.pattern, job.g);
+        } catch (const std::exception& e) {
+          job.error = e.what();
+        }
+      }
+    }
+    // Tuning dominates the batch cost; jobs are independent and their RNG
+    // is derived from (pattern hash, GPU), so the fan-out is order- and
+    // thread-count-invariant.
+    const util::PhaseTimer tune("advisor.tune", jobs.size());
     util::parallel_for(jobs.size(), [&](std::size_t j) {
+      VariantJob& job = jobs[j];
+      if (!job.error.empty()) return;
       try {
-        jobs[j].advice = advise_variant(*jobs[j].pattern, jobs[j].g);
+        tune_variant(*job.pattern, job.g, job.advice);
       } catch (const std::exception& e) {
-        jobs[j].error = e.what();
+        job.error = e.what();
       }
     });
   }

@@ -91,13 +91,15 @@ class StencilMart {
   GpuRecommendation recommend_gpu(const stencil::StencilPattern& pattern) const;
 
   /// Batched advise + recommend: classification and tuning run once per
-  /// distinct (stencil, GPU) variant across the whole batch (parallel on
-  /// the task pool), and every regression estimate of the batch is funnelled
-  /// through ONE predict_variants call. Each result is bit-identical to the
-  /// per-item advise()/recommend_gpu() pair — batching and within-batch
-  /// deduplication change cost, never values — which is the determinism
-  /// contract the serve daemon's admission batcher is built on. Item
-  /// patterns must stay alive for the duration of the call.
+  /// distinct (stencil, GPU) variant across the whole batch (classification
+  /// in one pass on the calling thread, tuning parallel on the task pool;
+  /// timing phases advisor.classify and advisor.tune inside
+  /// advisor.batch_tune), and every regression estimate of the batch is
+  /// funnelled through ONE predict_variants call. Each result is
+  /// bit-identical to the per-item advise()/recommend_gpu() pair — batching
+  /// and within-batch deduplication change cost, never values — which is
+  /// the determinism contract the serve daemon's admission batcher is built
+  /// on. Item patterns must stay alive for the duration of the call.
   std::vector<AdviseBatchResult> advise_batch(
       std::span<const AdviseBatchItem> items) const;
 
@@ -121,6 +123,14 @@ class StencilMart {
   /// recommend_gpu() batches the predictions of all GPUs into one call.
   OcAdvice advise_variant(const stencil::StencilPattern& pattern,
                           std::size_t g) const;
+  /// The two halves of advise_variant: GPU g's classifier picks the OC
+  /// group (group, group_name and its representative oc), then the tuner
+  /// fills setting and expected_time_ms, falling back to the group's other
+  /// members when the representative never runs.
+  OcAdvice classify_variant(const stencil::StencilPattern& pattern,
+                            std::size_t g) const;
+  void tune_variant(const stencil::StencilPattern& pattern, std::size_t g,
+                    OcAdvice& advice) const;
 
   MartConfig config_;
   bool trained_ = false;

@@ -522,6 +522,24 @@ ProfileDataset load_dataset(std::istream& in, const std::string& source) {
     }
   }
   if (!sized) size_tables();
+  // Every unit times each of its (stencil, OC) settings once; quarantined
+  // units carry a crash per setting. A shard corpus leaves the units other
+  // shards own empty. Anything else would send RegressionTask past the end
+  // of a time list, so it is reported at the end of the corpus.
+  for (std::size_t s = 0; s < declared; ++s) {
+    for (std::size_t g = 0; g < num_gpus; ++g) {
+      for (std::size_t oc = 0; oc < num_ocs; ++oc) {
+        const std::size_t want = ds.settings[s][oc].size();
+        const std::size_t got = ds.times[s][g][oc].size();
+        if (got == want || (got == 0 && ds.shard.sharded())) continue;
+        r.fail("unit (stencil " + std::to_string(s) + ", gpu " +
+               std::to_string(g) + ", oc " + std::to_string(oc) + ") has " +
+               std::to_string(got) + " time records, want " +
+               std::to_string(want) + (ds.shard.sharded() ? " or 0" : "") +
+               " (one per setting)");
+      }
+    }
+  }
   ds.config.num_stencils = static_cast<int>(declared);
   return ds;
 }

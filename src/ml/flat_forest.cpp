@@ -1,118 +1,80 @@
 #include "ml/flat_forest.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
 namespace smart::ml {
 
 void FlatForest::build(std::span<const RegressionTree> trees) {
-  feature_.clear();
-  threshold_.clear();
-  left_.clear();
-  right_.clear();
+  nodes_.clear();
   weight_.clear();
-  root_.clear();
-  steps_.clear();
+  num_trees_ = trees.size();
+  const std::size_t groups = (trees.size() + kLockstep - 1) / kLockstep;
+  // Padding lanes of the last group and empty trees start on slot 0.
+  root_.assign(groups * kLockstep, 0);
+  steps_.assign(groups, 0);
 
-  std::size_t total = 0;
-  for (const RegressionTree& tree : trees) {
-    total += std::max<std::size_t>(1, tree.nodes().size());
+  std::size_t total = 1;
+  for (const RegressionTree& tree : trees) total += tree.nodes().size();
+  constexpr auto kMaxSlots =
+      static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max());
+  if (total > kMaxSlots) {
+    throw std::runtime_error("FlatForest::build: node pool exceeds int32");
   }
-  feature_.reserve(total);
-  threshold_.reserve(total);
-  left_.reserve(total);
-  right_.reserve(total);
+  nodes_.reserve(total);
   weight_.reserve(total);
-  root_.reserve(trees.size());
-  steps_.reserve(trees.size());
 
-  constexpr float kInf = std::numeric_limits<float>::infinity();
-  std::vector<std::int32_t> depth;  // scratch: per-node depth of one tree
-  for (const RegressionTree& tree : trees) {
-    const auto base = static_cast<std::int32_t>(feature_.size());
-    root_.push_back(base);
-    const auto& nodes = tree.nodes();
-    if (nodes.empty()) {
-      // predict_row returns 0.0 for an empty tree; a zero-weight leaf
-      // reproduces that exactly.
-      feature_.push_back(0);
-      threshold_.push_back(kInf);
-      left_.push_back(base);
-      right_.push_back(base);
-      weight_.push_back(0.0);
-      steps_.push_back(0);
-      continue;
-    }
-    for (const RegressionTree::Node& n : nodes) {
-      const auto self = static_cast<std::int32_t>(feature_.size());
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  // Slot 0: the zero-weight leaf (predict_row returns 0.0 for an empty
+  // tree). Like every leaf, it steps to first + 1 = itself.
+  nodes_.push_back({kNan, 0, -1});
+  weight_.push_back(0.0);
+
+  std::vector<int> source;  // per slot of the current tree: its node index
+  std::vector<std::int32_t> depth;  // per slot of the current tree
+  std::vector<char> linked;         // per node of the current tree
+  for (std::size_t t = 0; t < trees.size(); ++t) {
+    const std::vector<RegressionTree::Node>& src = trees[t].nodes();
+    if (src.empty()) continue;
+    const auto base = static_cast<std::int32_t>(nodes_.size());
+    root_[t] = base;
+    // Breadth-first relayout: visit q takes slot base + q, and a split's
+    // children are queued together, so they get adjacent slots.
+    source.assign(1, 0);
+    depth.assign(1, 0);
+    linked.assign(src.size(), 0);
+    std::int32_t tree_depth = 0;
+    for (std::size_t q = 0; q < source.size(); ++q) {
+      const RegressionTree::Node& n = src[static_cast<std::size_t>(source[q])];
+      const std::int32_t self = base + static_cast<std::int32_t>(q);
       if (n.feature < 0) {
-        // Self-looping leaf: any value (NaN included, via `<= +inf` being
-        // false) stays on this node for the remaining lockstep iterations.
-        feature_.push_back(0);
-        threshold_.push_back(kInf);
-        left_.push_back(self);
-        right_.push_back(self);
-      } else {
-        feature_.push_back(n.feature);
-        threshold_.push_back(n.threshold);
-        left_.push_back(base + n.left);
-        right_.push_back(base + n.right);
+        nodes_.push_back({kNan, 0, self - 1});
+        weight_.push_back(n.weight);
+        tree_depth = std::max(tree_depth, depth[q]);
+        continue;
       }
+      for (const int child : {n.left, n.right}) {
+        // Fitted trees link forward and reach every node once. A back-link
+        // (which would cycle) or a shared child (which would copy a
+        // subtree per path) can only come from a corrupt artifact.
+        if (child <= source[q] ||
+            static_cast<std::size_t>(child) >= src.size() ||
+            linked[static_cast<std::size_t>(child)]) {
+          throw std::runtime_error(
+              "FlatForest::build: non-preorder, dangling or shared child link");
+        }
+        linked[static_cast<std::size_t>(child)] = 1;
+      }
+      const auto first = base + static_cast<std::int32_t>(source.size());
+      nodes_.push_back({n.threshold, n.feature, first});
       weight_.push_back(n.weight);
+      source.push_back(n.left);
+      source.push_back(n.right);
+      depth.push_back(depth[q] + 1);
+      depth.push_back(depth[q] + 1);
     }
-    // Step count = max root-to-node depth, recomputed from the links (a
-    // serialized depth field is not trusted: too small would stop lanes on
-    // internal nodes). Children always follow their parent in the builder's
-    // preorder layout, so one forward pass suffices.
-    depth.assign(nodes.size(), 0);
-    std::int32_t max_depth = 0;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      const RegressionTree::Node& n = nodes[i];
-      if (n.feature < 0) continue;
-      if (n.left <= static_cast<int>(i) || n.right <= static_cast<int>(i)) {
-        // Fitted trees are preorder by construction; a back-link can only
-        // come from a corrupt artifact (and would cycle the pointer walk).
-        throw std::runtime_error("FlatForest::build: non-preorder child link");
-      }
-      const std::int32_t d = depth[i] + 1;
-      depth[static_cast<std::size_t>(n.left)] = d;
-      depth[static_cast<std::size_t>(n.right)] = d;
-      max_depth = std::max(max_depth, d);
-    }
-    steps_.push_back(max_depth);
-  }
-}
-
-void FlatForest::leaf_weights(std::size_t t, const Matrix& x,
-                              std::size_t begin, std::size_t end,
-                              double* out) const {
-  const std::int32_t root = root_[t];
-  const std::int32_t steps = steps_[t];
-  const std::int32_t* feature = feature_.data();
-  const float* threshold = threshold_.data();
-  const std::int32_t* left = left_.data();
-  const std::int32_t* right = right_.data();
-  const std::size_t cols = x.cols();
-  const float* data = x.data();
-
-  const std::size_t n = end - begin;
-  for (std::size_t r0 = 0; r0 < n; r0 += kLockstep) {
-    const std::size_t ln = std::min(kLockstep, n - r0);
-    std::int32_t idx[kLockstep];
-    for (std::size_t l = 0; l < ln; ++l) idx[l] = root;
-    for (std::int32_t d = 0; d < steps; ++d) {
-      for (std::size_t l = 0; l < ln; ++l) {
-        const std::int32_t i = idx[l];
-        const float v =
-            data[(begin + r0 + l) * cols + static_cast<std::size_t>(feature[i])];
-        // Same comparison as the pointer walk: NaN fails `<=`, goes right.
-        idx[l] = v <= threshold[i] ? left[i] : right[i];
-      }
-    }
-    for (std::size_t l = 0; l < ln; ++l) {
-      out[r0 + l] = weight_[static_cast<std::size_t>(idx[l])];
-    }
+    std::int32_t& steps = steps_[t / kLockstep];
+    steps = std::max(steps, tree_depth);
   }
 }
 

@@ -5,7 +5,6 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "ml/simd.hpp"
 #include "util/serialize_io.hpp"
 #include "util/task_pool.hpp"
 #include "util/timing.hpp"
@@ -32,9 +31,8 @@ std::vector<double> importance_from_trees(
   return gains;
 }
 
-/// Rows per block of the batched ensemble prediction: small enough that the
-/// block's accumulators stay cache-resident while a tree streams over them,
-/// large enough to amortize the per-tree loop overhead.
+/// Rows per task of the batched ensemble prediction: enough one-row walks
+/// to amortize a task hand-off.
 constexpr std::size_t kPredictBlock = 256;
 
 void save_params(std::ostream& out, const GbdtParams& p) {
@@ -111,43 +109,21 @@ void GbdtRegressor::fit(const Matrix& x, std::span<const float> y) {
 }
 
 double GbdtRegressor::predict_row(std::span<const float> features) const {
+  const double lr = params_.learning_rate;
   double acc = base_;
-  for (const RegressionTree& t : trees_) {
-    acc += params_.learning_rate * t.predict_row(features);
-  }
+  flat_.for_each_leaf(features, [&](double w) { acc += lr * w; });
   return acc;
 }
 
 std::vector<double> GbdtRegressor::predict(const Matrix& x) const {
   std::vector<double> out(x.rows());
   const std::size_t blocks = (x.rows() + kPredictBlock - 1) / kPredictBlock;
-  // Read the mode once on the calling thread so one predict() call never
-  // mixes layouts across blocks.
-  const bool flat = simd_enabled() && !flat_.empty();
-  // Trees-outer/rows-inner per block: each out[r] adds the trees in
-  // ensemble order, so it is bit-identical to predict_row(x.row(r)); blocks
-  // write disjoint ranges, so the loop is thread-count invariant. The
-  // flattened walk produces the identical leaf weights (FlatForest), so
-  // both layouts yield the same bits.
+  // Every row is predict_row and blocks write disjoint ranges, so the loop
+  // is thread-count invariant.
   util::parallel_for(blocks, [&](std::size_t blk) {
     const std::size_t begin = blk * kPredictBlock;
     const std::size_t end = std::min(x.rows(), begin + kPredictBlock);
-    for (std::size_t r = begin; r < end; ++r) out[r] = base_;
-    if (flat) {
-      double leaves[kPredictBlock];
-      for (std::size_t t = 0; t < flat_.num_trees(); ++t) {
-        flat_.leaf_weights(t, x, begin, end, leaves);
-        for (std::size_t r = begin; r < end; ++r) {
-          out[r] += params_.learning_rate * leaves[r - begin];
-        }
-      }
-    } else {
-      for (const RegressionTree& t : trees_) {
-        for (std::size_t r = begin; r < end; ++r) {
-          out[r] += params_.learning_rate * t.predict_row(x.row(r));
-        }
-      }
-    }
+    for (std::size_t r = begin; r < end; ++r) out[r] = predict_row(x.row(r));
   });
   return out;
 }
@@ -219,16 +195,27 @@ void GbdtClassifier::fit(const Matrix& x, std::span<const int> labels,
   flat_.build(trees_);
 }
 
+void GbdtClassifier::scores_into(std::span<const float> features,
+                                 double* scores) const {
+  std::copy(base_scores_.begin(), base_scores_.end(), scores);
+  // Tree r * K + k scores class k, so adding the leaves in ensemble order
+  // is round-major: each class sums its rounds in ascending order, as
+  // fit() did.
+  const std::size_t num_k = base_scores_.size();
+  const double lr = params_.learning_rate;
+  std::size_t k = 0;
+  flat_.for_each_leaf(features, [&](double w) {
+    scores[k] += lr * w;
+    if (++k == num_k) k = 0;
+  });
+}
+
 void GbdtClassifier::predict_proba_into(std::span<const float> features,
                                         std::span<double> out) const {
   if (out.size() != base_scores_.size()) {
     throw std::invalid_argument("predict_proba_into: bad output size");
   }
-  std::copy(base_scores_.begin(), base_scores_.end(), out.begin());
-  for (std::size_t i = 0; i < trees_.size(); ++i) {
-    const std::size_t k = i % static_cast<std::size_t>(num_classes_);
-    out[k] += params_.learning_rate * trees_[i].predict_row(features);
-  }
+  scores_into(features, out.data());
   double max_score = out[0];
   for (double s : out) max_score = std::max(max_score, s);
   double denom = 0.0;
@@ -269,42 +256,17 @@ std::vector<int> GbdtClassifier::predict(const Matrix& x) const {
   std::vector<int> out(x.rows());
   const auto num_k = static_cast<std::size_t>(num_classes_);
   const std::size_t blocks = (x.rows() + kPredictBlock - 1) / kPredictBlock;
-  const bool flat = simd_enabled() && !flat_.empty();
   util::parallel_for(blocks, [&](std::size_t blk) {
     const std::size_t begin = blk * kPredictBlock;
     const std::size_t end = std::min(x.rows(), begin + kPredictBlock);
     // One score buffer per block, reused across its rows.
-    std::vector<double> scores((end - begin) * num_k);
+    std::vector<double> scores(num_k);
     for (std::size_t r = begin; r < end; ++r) {
-      std::copy(base_scores_.begin(), base_scores_.end(),
-                scores.begin() + static_cast<std::ptrdiff_t>((r - begin) * num_k));
-    }
-    if (flat) {
-      // Same ensemble order as the pointer walk (tree i scores class
-      // i % num_k), same leaf weights — bit-identical scores.
-      double leaves[kPredictBlock];
-      for (std::size_t i = 0; i < flat_.num_trees(); ++i) {
-        const std::size_t k = i % num_k;
-        flat_.leaf_weights(i, x, begin, end, leaves);
-        for (std::size_t r = begin; r < end; ++r) {
-          scores[(r - begin) * num_k + k] +=
-              params_.learning_rate * leaves[r - begin];
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < trees_.size(); ++i) {
-        const std::size_t k = i % num_k;
-        for (std::size_t r = begin; r < end; ++r) {
-          scores[(r - begin) * num_k + k] +=
-              params_.learning_rate * trees_[i].predict_row(x.row(r));
-        }
-      }
-    }
-    for (std::size_t r = begin; r < end; ++r) {
+      scores_into(x.row(r), scores.data());
       // Softmax is strictly monotone, so the argmax of the raw scores
       // equals the argmax of predict_proba_row (first-max ties included).
-      const double* srow = &scores[(r - begin) * num_k];
-      out[r] = static_cast<int>(std::max_element(srow, srow + num_k) - srow);
+      out[r] = static_cast<int>(std::max_element(scores.begin(), scores.end()) -
+                                scores.begin());
     }
   });
   return out;

@@ -27,17 +27,18 @@ class GbdtRegressor {
   explicit GbdtRegressor(GbdtParams params = GbdtParams{}) : params_(params) {}
 
   void fit(const Matrix& x, std::span<const float> y);
+  /// Walks every tree on the row at once (FlatForest) and adds the leaf
+  /// weights in ensemble order: bit-identical to summing each tree's
+  /// RegressionTree::predict_row, in every precision mode.
   double predict_row(std::span<const float> features) const;
-  /// Batched prediction: iterates trees-outer/rows-inner over cache-sized
-  /// row blocks. Each row adds the trees in ensemble order, so every output
-  /// is bit-identical to predict_row on that row for any thread count.
-  /// When ml::simd_enabled(), the inner walk uses the flattened lockstep
-  /// layout (FlatForest) — same comparisons, same double accumulation, so
-  /// still bit-identical in every precision mode; SMART_SIMD=0 falls back
-  /// to the per-row pointer walk.
+  /// Batched prediction: predict_row on every row, rows fanned over the
+  /// task pool in blocks, so every output is bit-identical to predict_row
+  /// on that row for any thread count.
   std::vector<double> predict(const Matrix& x) const;
 
   std::size_t num_trees() const noexcept { return trees_.size(); }
+  const std::vector<RegressionTree>& trees() const noexcept { return trees_; }
+  double base_score() const noexcept { return base_; }
 
   /// Gain-based importance per input feature, normalized to sum to 1
   /// (all-zero if no split was ever made).
@@ -70,15 +71,20 @@ class GbdtClassifier {
   void predict_proba_into(std::span<const float> features,
                           std::span<double> out) const;
   int predict_row(std::span<const float> features) const;
-  /// Batched argmax prediction, trees-outer/rows-inner over row blocks with
-  /// one score buffer per block (no per-row allocation). Labels equal
-  /// predict_row on every row: the scores accumulate in ensemble order and
-  /// softmax is strictly monotone, so the argmax is unchanged. Uses the
-  /// flattened lockstep walk when ml::simd_enabled() (bit-identical, see
-  /// GbdtRegressor::predict).
+  /// Batched argmax prediction over row blocks with one score buffer per
+  /// block (no per-row allocation). Labels equal predict_row on every row:
+  /// the scores are the ones predict_proba_into computes and softmax is
+  /// strictly monotone, so the argmax is unchanged.
   std::vector<int> predict(const Matrix& x) const;
 
   int num_classes() const noexcept { return num_classes_; }
+  /// Rounds x classes, round-major: tree r * num_classes() + k scores
+  /// class k.
+  const std::vector<RegressionTree>& trees() const noexcept { return trees_; }
+  /// Per-class scores before the first round (log class priors).
+  const std::vector<double>& base_scores() const noexcept {
+    return base_scores_;
+  }
 
   /// Gain-based importance per input feature, normalized to sum to 1.
   std::vector<double> feature_importance(std::size_t num_features) const;
@@ -94,6 +100,10 @@ class GbdtClassifier {
   static GbdtClassifier load(std::istream& in);
 
  private:
+  /// Raw per-class scores for one row: the base scores plus every tree's
+  /// scaled leaf weight, added in ensemble order from one FlatForest walk.
+  void scores_into(std::span<const float> features, double* scores) const;
+
   GbdtParams params_;
   FeatureBinner binner_;
   std::vector<RegressionTree> trees_;  // rounds x classes, row-major

@@ -1,23 +1,25 @@
 // Process-wide inference-mode switches for the vectorized kernels
 // (DESIGN.md §13).
 //
-// Two independent knobs govern every inference hot path:
+// Two independent knobs govern the dense (MLP/ConvMLP) inference hot paths:
 //
-//  - simd_enabled(): whether the fused / flattened kernels (fused
-//    bias+activation matmul epilogues, the flattened lockstep GBDT layout)
-//    are used at all. These kernels are *strict*: they perform the exact
-//    same floating-point operations in the exact same per-element order as
-//    the legacy scalar code, so toggling this knob never changes a single
+//  - simd_enabled(): whether the fused dense kernels (fused
+//    bias+activation matmul epilogues in Sequential::infer) are used at
+//    all. These kernels are *strict*: they perform the exact same
+//    floating-point operations in the exact same per-element order as the
+//    legacy scalar code, so toggling this knob never changes a single
 //    output bit — it only changes how fast the bits are produced. Default
 //    on; SMART_SIMD=0 forces the legacy scalar paths (the escape hatch the
-//    check.sh equivalence matrix exercises).
+//    check.sh equivalence matrix exercises). GBDT inference does not read
+//    it: every GBDT prediction runs the one forest walk of
+//    ml/flat_forest.hpp.
 //
 //  - inference_precision(): kStrict (default, "f64" on the CLI) keeps the
 //    historical bit-exact contract. kRelaxed ("f32") additionally allows
 //    the dense kernels to reassociate float accumulation and contract
 //    mul+add into FMA on ISAs that have it — faster, but only
 //    tolerance-equivalent to the strict path. GBDT prediction is exact in
-//    either mode (the flattened layout changes memory layout, not math).
+//    either mode (the forest walk reads neither knob).
 //
 // The relaxed dense kernel is compiled for several x86 ISA levels and
 // dispatched once at runtime (dispatch_isa()); on non-x86 or pre-AVX2
@@ -40,7 +42,7 @@ enum class Precision {
   kRelaxed,  // "f32": reassociated/FMA float accumulation, tolerance-gated
 };
 
-/// Fused/flattened kernels enabled? (SMART_SIMD env, default on.)
+/// Fused dense kernels enabled? (SMART_SIMD env, default on.)
 bool simd_enabled() noexcept;
 void set_simd_enabled(bool on) noexcept;
 

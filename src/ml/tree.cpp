@@ -270,7 +270,7 @@ double RegressionTree::predict_row(std::span<const float> features) const {
   while (nodes_[static_cast<std::size_t>(idx)].feature >= 0) {
     const Node& n = nodes_[static_cast<std::size_t>(idx)];
     // `<=` is false for NaN, so a NaN feature routes right at every split
-    // (the explicit contract shared with FlatForest's lockstep walk).
+    // (the explicit contract shared with FlatForest's forest walk).
     idx = features[static_cast<std::size_t>(n.feature)] <= n.threshold
               ? n.left
               : n.right;

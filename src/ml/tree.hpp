@@ -55,8 +55,9 @@ struct TreeParams {
 /// NaN routing contract: prediction traverses with `value <= threshold ?
 /// left : right`, so a NaN feature fails the comparison at every split and
 /// deterministically routes to the right ("greater") child — the same
-/// convention in the pointer walk here and in the flattened lockstep layout
-/// (ml/flat_forest.hpp). Training inputs must be NaN-free: FeatureBinner::
+/// convention in the pointer walk here and in the forest walk every GBDT
+/// prediction runs (ml/flat_forest.hpp), which takes predict_row as its
+/// per-tree reference. Training inputs must be NaN-free: FeatureBinner::
 /// fit rejects NaN outright (NaN breaks nth_element's ordering), so NaN can
 /// only ever appear at prediction time.
 class RegressionTree {
@@ -93,7 +94,7 @@ class RegressionTree {
   void save(std::ostream& out) const;
   static RegressionTree load(std::istream& in);
 
-  /// Fitted nodes (index 0 is the root) — consumed by FlatForest::build.
+  /// Fitted nodes (index 0 is the root) — relaid out by FlatForest::build.
   const std::vector<Node>& nodes() const noexcept { return nodes_; }
 
  private:

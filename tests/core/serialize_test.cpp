@@ -401,6 +401,77 @@ TEST(Serialize, HeaderStencilCountNeverSizesTables) {
   load_error(text + "stencil 8192 8192 1 0 0:0:0\n", lines + 1);
 }
 
+/// `text` without its line that starts with `prefix`.
+std::string without_line(std::string text, const std::string& prefix) {
+  const std::size_t at = text.find('\n' + prefix);
+  EXPECT_NE(at, std::string::npos) << prefix;
+  return text.erase(at + 1, text.find('\n', at + 1) - at);
+}
+
+TEST(Serialize, RejectsTimeListsShorterOrLongerThanSettings) {
+  // Each unit's time list pairs one-to-one with its settings; a short list
+  // used to load and send RegressionTask past its end. The counts are
+  // checked after the last record, so the error sits at the last line.
+  const ProfileDataset ds = make_dataset();
+  const std::size_t want = ds.settings[0][0].size();
+  ASSERT_GE(want, 1u);
+  const std::string text = serialized(ds);
+  const auto last_line = [](const std::string& t) {
+    return static_cast<std::size_t>(std::count(t.begin(), t.end(), '\n'));
+  };
+  const std::string unit = "unit (stencil 0, gpu 0, oc 0) has ";
+  std::string bad = without_line(
+      text, "time 0 0 0 " + std::to_string(want - 1) + ' ');
+  std::string what = load_error(bad, last_line(bad));
+  EXPECT_NE(what.find(unit + std::to_string(want - 1) +
+                      " time records, want " + std::to_string(want) +
+                      " (one per setting)"),
+            std::string::npos)
+      << what;
+  for (std::size_t k = want - 1; k > 0; --k) {
+    bad = without_line(bad, "time 0 0 0 " + std::to_string(k - 1) + ' ');
+  }
+  what = load_error(bad, last_line(bad));
+  EXPECT_NE(what.find(unit + "0 time records"), std::string::npos) << what;
+  // A setting with no time: the list is now one short.
+  const std::string extra = text + "setting 0 0 32 8 1 0 1 0 0 0 0\n";
+  what = load_error(extra, last_line(extra));
+  EXPECT_NE(what.find(unit + std::to_string(want) + " time records, want " +
+                      std::to_string(want + 1)),
+            std::string::npos)
+      << what;
+  // Quarantined units carry one crash per setting and load.
+  ProfileDataset quarantined = ds;
+  quarantined.quarantined.push_back({0, 0, 0, "injected"});
+  quarantined.times[0][0][0].assign(
+      want, std::numeric_limits<double>::quiet_NaN());
+  std::istringstream in(serialized(quarantined));
+  EXPECT_EQ(load_dataset(in).quarantined, quarantined.quarantined);
+}
+
+TEST(Serialize, ShardCorpusUnitsCarryAllOrNoTimes) {
+  // A shard corpus leaves units other shards own empty, so zero records is
+  // legal there; a partial list is not.
+  ProfileDataset ds = make_dataset();
+  ds.shard = ShardSpec{0, 2};
+  const std::size_t want = ds.settings[0][0].size();
+  ds.times[0][0][0].clear();
+  const std::string text = serialized(ds);
+  std::istringstream in(text);
+  EXPECT_TRUE(load_dataset(in).times[0][0][0].empty());
+
+  ds.times[0][0][0] = make_dataset().times[0][0][0];
+  const std::string bad = without_line(
+      serialized(ds), "time 0 0 0 " + std::to_string(want - 1) + ' ');
+  const std::string what = load_error(
+      bad, static_cast<std::size_t>(std::count(bad.begin(), bad.end(), '\n')));
+  EXPECT_NE(what.find("unit (stencil 0, gpu 0, oc 0) has " +
+                      std::to_string(want - 1) + " time records, want " +
+                      std::to_string(want) + " or 0"),
+            std::string::npos)
+      << what;
+}
+
 /// The fuzz seed: a small shard corpus (shard header) whose permanent
 /// measurement faults left quar records with free-text reasons.
 std::string fuzz_seed_corpus() {

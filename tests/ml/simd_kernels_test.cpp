@@ -4,19 +4,24 @@
 //  - the relaxed ("f32") kernel is tolerance-equivalent to strict and its
 //    per-element math is batch-size invariant (the property the serve
 //    daemon's determinism contract relies on);
-//  - the flattened lockstep GBDT walk is bit-identical to the per-row
-//    pointer walk, NaN features included;
+//  - the one-row forest walk (16 trees of a row in lockstep) gives every
+//    tree's leaf weight bit-identical to RegressionTree::predict_row, and
+//    every GBDT prediction path the per-tree reference sum, NaN features,
+//    empty and deep loaded trees included;
 //  - the kernels reject aliased matrices, and Sequential::infer survives
 //    shrinking/growing batch sizes (the serve admission batcher produces
 //    arbitrary batch-size sequences).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "ml/flat_forest.hpp"
@@ -284,32 +289,156 @@ void make_regression_data(Matrix& x, std::vector<float>& y, std::size_t rows,
   }
 }
 
+/// Labels in [0, num_classes) from the regression target.
+std::vector<int> make_labels(const std::vector<float>& y, int num_classes) {
+  std::vector<int> labels(y.size());
+  for (std::size_t r = 0; r < y.size(); ++r) {
+    labels[r] = static_cast<int>(std::fabs(y[r]) * 3.0f) % num_classes;
+  }
+  return labels;
+}
+
+/// `x` with NaN in every feature position: row 0 all NaN, then row c + 1
+/// NaN in column c alone, then every third row NaN in one rotating column.
+Matrix nan_poisoned(const Matrix& x) {
+  Matrix poisoned = x;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (std::size_t c = 0; c < poisoned.cols(); ++c) {
+    poisoned.at(0, c) = nan;
+    poisoned.at(c + 1, c) = nan;
+  }
+  for (std::size_t r = poisoned.cols() + 1; r < poisoned.rows(); r += 3) {
+    poisoned.at(r, r % poisoned.cols()) = nan;
+  }
+  return poisoned;
+}
+
+/// Every tree's leaf weight for one row, as the forest walk emits them.
+std::vector<double> walked_leaves(const FlatForest& flat,
+                                  std::span<const float> row) {
+  std::vector<double> leaves;
+  flat.for_each_leaf(row, [&](double w) { leaves.push_back(w); });
+  return leaves;
+}
+
+/// The walk over `trees` gives, per tree and row, the bits of the pointer
+/// walk RegressionTree::predict_row.
+void expect_leaves_match(std::span<const RegressionTree> trees,
+                         const Matrix& x) {
+  FlatForest flat;
+  flat.build(trees);
+  ASSERT_EQ(flat.num_trees(), trees.size());
+  std::size_t nodes = 1;  // the shared zero leaf
+  for (const RegressionTree& t : trees) nodes += t.num_nodes();
+  ASSERT_LE(flat.num_nodes(), nodes);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    const std::vector<double> leaves = walked_leaves(flat, x.row(r));
+    ASSERT_EQ(leaves.size(), trees.size());
+    for (std::size_t t = 0; t < trees.size(); ++t) {
+      expect_bitwise(leaves[t], trees[t].predict_row(x.row(r)));
+    }
+  }
+}
+
+/// Per-tree reference for GbdtRegressor: base plus each tree's scaled
+/// pointer-walk weight, in ensemble order.
+double reference_regression(const GbdtRegressor& reg, double learning_rate,
+                            std::span<const float> row) {
+  double acc = reg.base_score();
+  for (const RegressionTree& t : reg.trees()) {
+    acc += learning_rate * t.predict_row(row);
+  }
+  return acc;
+}
+
+/// Per-tree reference for GbdtClassifier: raw per-class scores, tree i
+/// adding to class i % K.
+std::vector<double> reference_scores(const GbdtClassifier& clf,
+                                     double learning_rate,
+                                     std::span<const float> row) {
+  std::vector<double> scores = clf.base_scores();
+  const std::size_t num_k = scores.size();
+  for (std::size_t i = 0; i < clf.trees().size(); ++i) {
+    scores[i % num_k] += learning_rate * clf.trees()[i].predict_row(row);
+  }
+  return scores;
+}
+
+/// Softmax exactly as GbdtClassifier::predict_proba_into computes it.
+std::vector<double> reference_proba(std::vector<double> scores) {
+  double max_score = scores[0];
+  for (double s : scores) max_score = std::max(max_score, s);
+  double denom = 0.0;
+  for (double& s : scores) {
+    s = std::exp(s - max_score);
+    denom += s;
+  }
+  for (double& s : scores) s /= denom;
+  return scores;
+}
+
+int argmax(const std::vector<double>& v) {
+  return static_cast<int>(std::max_element(v.begin(), v.end()) - v.begin());
+}
+
+/// Every regressor prediction path against the per-tree reference.
+void expect_regressor_matches_reference(const GbdtRegressor& reg,
+                                        double learning_rate, const Matrix& x) {
+  expect_leaves_match(reg.trees(), x);
+  const std::vector<double> batched = reg.predict(x);
+  ASSERT_EQ(batched.size(), x.rows());
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    const double want = reference_regression(reg, learning_rate, x.row(r));
+    expect_bitwise(reg.predict_row(x.row(r)), want);
+    expect_bitwise(batched[r], want);
+  }
+}
+
+/// Every classifier prediction path against the per-tree reference.
+void expect_classifier_matches_reference(const GbdtClassifier& clf,
+                                         double learning_rate,
+                                         const Matrix& x) {
+  expect_leaves_match(clf.trees(), x);
+  const std::vector<int> labels = clf.predict(x);
+  ASSERT_EQ(labels.size(), x.rows());
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    const std::vector<double> scores =
+        reference_scores(clf, learning_rate, x.row(r));
+    const std::vector<double> want = reference_proba(scores);
+    const std::vector<double> got = clf.predict_proba_row(x.row(r));
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      expect_bitwise(got[k], want[k]);
+    }
+    EXPECT_EQ(clf.predict_row(x.row(r)), argmax(want));
+    EXPECT_EQ(labels[r], argmax(scores));
+  }
+}
+
 TEST(FlatForest, LockstepMatchesPointerWalkBitwise) {
+  // Ensemble sizes below, at and across the 16-tree group boundary.
   Matrix x;
   std::vector<float> y;
   make_regression_data(x, y, 300, 9, 11);
+  for (const int rounds : {1, 15, 16, 17, 20, 33}) {
+    GbdtParams params;
+    params.rounds = rounds;
+    GbdtRegressor reg(params);
+    reg.fit(x, y);
+    ASSERT_EQ(reg.num_trees(), static_cast<std::size_t>(rounds));
+    expect_regressor_matches_reference(reg, params.learning_rate, x);
+  }
+  // Relaxed precision must not change GBDT bits (no float accumulation,
+  // no precision knob read).
   GbdtParams params;
   params.rounds = 20;
   GbdtRegressor reg(params);
   reg.fit(x, y);
-
-  const std::vector<double> flat = reg.predict(x);  // SMART_SIMD default-on
-  std::vector<double> walked;
-  {
-    const SimdSection off(false);
-    walked = reg.predict(x);
-  }
-  ASSERT_EQ(flat.size(), walked.size());
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    expect_bitwise(flat[r], walked[r]);
-    expect_bitwise(flat[r], reg.predict_row(x.row(r)));
-  }
-  // Relaxed precision must not change GBDT bits either (the flattened
-  // layout changes memory layout, not math).
+  const std::vector<double> strict = reg.predict(x);
   const PrecisionSection relaxed(Precision::kRelaxed);
   const std::vector<double> flat_f32 = reg.predict(x);
   for (std::size_t r = 0; r < x.rows(); ++r) {
-    expect_bitwise(flat_f32[r], flat[r]);
+    expect_bitwise(flat_f32[r], strict[r]);
   }
 }
 
@@ -325,9 +454,18 @@ TEST(FlatForest, LockstepSurvivesSaveLoad) {
   std::stringstream buf;
   reg.save(buf);
   const GbdtRegressor loaded = GbdtRegressor::load(buf);
+  expect_regressor_matches_reference(loaded, params.learning_rate, x);
   const std::vector<double> a = reg.predict(x);
   const std::vector<double> b = loaded.predict(x);
   for (std::size_t r = 0; r < x.rows(); ++r) expect_bitwise(a[r], b[r]);
+
+  GbdtClassifier clf(params);
+  clf.fit(x, make_labels(y, 4), 4);
+  std::stringstream cbuf;
+  clf.save(cbuf);
+  const GbdtClassifier cloaded = GbdtClassifier::load(cbuf);
+  expect_classifier_matches_reference(cloaded, params.learning_rate, x);
+  EXPECT_EQ(cloaded.predict(x), clf.predict(x));
 }
 
 TEST(FlatForest, NanRoutesRightInBothLayouts) {
@@ -338,69 +476,156 @@ TEST(FlatForest, NanRoutesRightInBothLayouts) {
   params.rounds = 15;
   GbdtRegressor reg(params);
   reg.fit(x, y);
+  GbdtClassifier clf(params);
+  clf.fit(x, make_labels(y, 3), 3);
 
-  // Poison a mix of features: whole rows, single columns, alternating.
-  Matrix poisoned = x;
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  for (std::size_t c = 0; c < poisoned.cols(); ++c) poisoned.at(0, c) = nan;
-  for (std::size_t r = 0; r < poisoned.rows(); ++r) {
-    if (r % 3 == 1) poisoned.at(r, r % poisoned.cols()) = nan;
-  }
-
-  const std::vector<double> flat = reg.predict(poisoned);
-  std::vector<double> walked;
-  {
-    const SimdSection off(false);
-    walked = reg.predict(poisoned);
-  }
-  for (std::size_t r = 0; r < poisoned.rows(); ++r) {
-    // Both layouts take the documented right-child route on NaN, so the
-    // outputs agree bitwise and are finite leaf sums, never NaN.
-    expect_bitwise(flat[r], walked[r]);
-    expect_bitwise(flat[r], reg.predict_row(poisoned.row(r)));
-    EXPECT_TRUE(std::isfinite(flat[r]));
-  }
+  // Both walks take the documented right-child route on NaN, so they agree
+  // bitwise and the outputs are finite leaf sums, never NaN.
+  const Matrix poisoned = nan_poisoned(x);
+  expect_regressor_matches_reference(reg, params.learning_rate, poisoned);
+  expect_classifier_matches_reference(clf, params.learning_rate, poisoned);
+  const std::vector<double> predicted = reg.predict(poisoned);
+  for (const double p : predicted) EXPECT_TRUE(std::isfinite(p));
 }
 
 TEST(FlatForest, ClassifierLockstepMatchesPointerWalk) {
+  // 8 rounds x 3 classes = 24 trees: one full group and a partial one.
   Matrix x;
   std::vector<float> y;
   make_regression_data(x, y, 240, 8, 91);
-  std::vector<int> labels(x.rows());
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    labels[r] = static_cast<int>(std::fabs(y[r])) % 3;
-  }
   GbdtParams params;
   params.rounds = 8;
   GbdtClassifier clf(params);
-  clf.fit(x, labels, 3);
+  clf.fit(x, make_labels(y, 3), 3);
+  ASSERT_EQ(clf.trees().size(), 24u);
+  expect_classifier_matches_reference(clf, params.learning_rate, x);
+}
 
-  const std::vector<int> flat = clf.predict(x);
-  std::vector<int> walked;
-  {
-    const SimdSection off(false);
-    walked = clf.predict(x);
-  }
-  ASSERT_EQ(flat.size(), walked.size());
+TEST(FlatForest, ClassifierWithManyClassesMatchesPointerWalk) {
+  // More than 32 classes: predict_row's score buffer moves to the heap.
+  Matrix x;
+  std::vector<float> y;
+  make_regression_data(x, y, 400, 5, 57);
+  std::vector<int> labels(x.rows());
   for (std::size_t r = 0; r < x.rows(); ++r) {
-    EXPECT_EQ(flat[r], walked[r]);
-    EXPECT_EQ(flat[r], clf.predict_row(x.row(r)));
+    labels[r] = static_cast<int>(r % 37);
   }
+  GbdtParams params;
+  params.rounds = 2;
+  GbdtClassifier clf(params);
+  clf.fit(x, labels, 37);
+  ASSERT_EQ(clf.trees().size(), 74u);
+  expect_classifier_matches_reference(clf, params.learning_rate, x);
+}
+
+TEST(FlatForest, EmptyAndSingleLeafTreesWalkInPlace) {
+  Matrix x;
+  std::vector<float> y;
+  make_regression_data(x, y, 120, 4, 71);
+  GbdtParams params;
+  params.rounds = 18;
+  GbdtRegressor reg(params);
+  reg.fit(x, y);
+
+  std::stringstream leaf("tree 1 0 0\n-1 0.0 -1 -1 2.5\n");
+  const RegressionTree single = RegressionTree::load(leaf);
+  std::vector<RegressionTree> trees = reg.trees();
+  trees.insert(trees.begin(), RegressionTree{});
+  trees.insert(trees.begin() + 5, single);
+  trees.insert(trees.begin() + 16, RegressionTree{});
+  trees.push_back(RegressionTree{});
+  expect_leaves_match(trees, x);
+  expect_leaves_match(trees, nan_poisoned(x));
+
+  // A forest of leaves takes no step, so it never reads the row.
+  const std::vector<RegressionTree> leaves{RegressionTree{}, single,
+                                           RegressionTree{}};
+  FlatForest flat;
+  flat.build(leaves);
+  const std::vector<double> got = walked_leaves(flat, {});
+  ASSERT_EQ(got.size(), 3u);
+  expect_bitwise(got[0], 0.0);
+  expect_bitwise(got[1], 2.5);
+  expect_bitwise(got[2], 0.0);
+}
+
+TEST(FlatForest, DeepChainTreeWalksInLinearPool) {
+  // A loaded degenerate tree: a right-leaning chain of 70 splits, each
+  // with a leaf on its left. A complete-tree layout would need 2^70 slots;
+  // the pool takes one per node.
+  constexpr int kDepth = 70;
+  std::ostringstream text;
+  text << "tree " << 2 * kDepth + 1 << ' ' << kDepth << " 0\n";
+  for (int d = 0; d < kDepth; ++d) {
+    text << d % 3 << " -0.99 " << 2 * d + 1 << ' ' << 2 * d + 2 << " 0.0\n";
+    text << "-1 0.0 -1 -1 " << d + 1 << ".0\n";
+  }
+  text << "-1 0.0 -1 -1 1000.0\n";
+  std::istringstream in(text.str());
+  const RegressionTree chain = RegressionTree::load(in);
+  ASSERT_EQ(chain.num_nodes(), static_cast<std::size_t>(2 * kDepth + 1));
+
+  Matrix x;
+  std::vector<float> y;
+  make_regression_data(x, y, 300, 3, 83);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    for (float& v : x.row(r)) v *= 0.5f;  // mostly right of -0.99
+  }
+  x.at(7, 1) = -1.5f;  // leaves the chain early at depth 1
+  GbdtParams params;
+  params.rounds = 20;
+  GbdtRegressor reg(params);
+  reg.fit(x, y);
+  std::vector<RegressionTree> trees = reg.trees();
+  trees.insert(trees.begin() + 3, chain);
+  expect_leaves_match(trees, x);
+  expect_leaves_match(trees, nan_poisoned(x));  // NaN rows reach the end
+
+  FlatForest flat;
+  flat.build(std::span<const RegressionTree>(&chain, 1));
+  EXPECT_EQ(flat.num_nodes(), 1 + chain.num_nodes());
+  std::vector<float> all_nan(3, std::numeric_limits<float>::quiet_NaN());
+  expect_bitwise(walked_leaves(flat, all_nan)[0], 1000.0);
 }
 
 TEST(FlatForest, BuildRejectsNonPreorderLinks) {
   // A corrupt artifact with a back-linking child (in range, so it survives
   // RegressionTree::load's dangling-link check) would cycle the pointer
-  // walk; FlatForest::build must reject it instead of trusting its depth.
-  std::stringstream corrupt(
+  // walk; FlatForest::build must reject it instead of looping.
+  std::stringstream back(
       "tree 3 1 0\n"
       "0 0.5 0 2 0.0\n"   // root: left child links BACK to the root
       "-1 0.0 -1 -1 1.0\n"
       "-1 0.0 -1 -1 2.0\n");
-  const RegressionTree tree = RegressionTree::load(corrupt);
-  const std::vector<RegressionTree> trees{tree};
+  const std::vector<RegressionTree> cyclic{RegressionTree::load(back)};
   FlatForest flat;
-  EXPECT_THROW(flat.build(trees), std::runtime_error);
+  EXPECT_THROW(flat.build(cyclic), std::runtime_error);
+
+  // A child linked twice would copy its subtree once per path, so a chain
+  // of shared links would grow the pool exponentially.
+  const std::string shared =
+      "tree 4 2 0\n"
+      "0 0.5 1 2 0.0\n"
+      "1 0.5 3 3 0.0\n"   // both children are node 3
+      "-1 0.0 -1 -1 1.0\n"
+      "-1 0.0 -1 -1 2.0\n";
+  std::stringstream shared_in(shared);
+  const std::vector<RegressionTree> dag{RegressionTree::load(shared_in)};
+  EXPECT_THROW(flat.build(dag), std::runtime_error);
+
+  // The model readers build the pool, so they refuse such a tree too.
+  Matrix x;
+  std::vector<float> y;
+  make_regression_data(x, y, 50, 2, 5);
+  GbdtParams params;
+  params.rounds = 1;
+  GbdtRegressor reg(params);
+  reg.fit(x, y);
+  std::stringstream saved;
+  reg.save(saved);
+  const std::string head = saved.str().substr(0, saved.str().find("tree "));
+  std::stringstream model(head + shared);
+  EXPECT_THROW(GbdtRegressor::load(model), std::runtime_error);
 }
 
 TEST(FeatureBinner, FitRejectsNan) {
