@@ -26,21 +26,19 @@ echo "== ctest (SMART_THREADS=1) =="
 echo "== ctest (unrestricted threads) =="
 (cd "$BUILD_DIR" && ctest --output-on-failure -j"$(nproc)")
 
-echo "== SIMD/precision equivalence gates (SMART_SIMD {0,1} x SMART_THREADS {1,4}) =="
-# The vectorized inference layer (DESIGN.md §13) must hold its contracts with
-# the fused/flattened kernels both off and on, serially and under the task
-# pool: strict/f64 bit-identical to the scalar walk, relaxed/f32 inside the
-# tolerance gate, batch-size and thread-count invariant.
+echo "== kernel/precision equivalence gates (SMART_THREADS {1,4}) =="
+# The vectorized inference layer (DESIGN.md §13) must hold its contracts
+# serially and under the task pool: strict/f64 fused dense steps
+# bit-identical to forward(), relaxed/f32 inside the tolerance gate,
+# batch-size and thread-count invariant.
 EQUIV_FILTER='SimdKernels.*:FlatForest.*:FeatureBinner.*'
 EQUIV_FILTER="$EQUIV_FILTER:PrecisionEquivalence.*:ParallelPrecisionEquivalence.*"
-for simd in 0 1; do
-  for threads in 1 4; do
-    echo "  SMART_SIMD=$simd SMART_THREADS=$threads"
-    SMART_SIMD=$simd SMART_THREADS=$threads "$BUILD_DIR/tests/smart_tests" \
-      --gtest_brief=1 --gtest_filter="$EQUIV_FILTER" | sed 's/^/    /'
-  done
+for threads in 1 4; do
+  echo "  SMART_THREADS=$threads"
+  SMART_THREADS=$threads "$BUILD_DIR/tests/smart_tests" \
+    --gtest_brief=1 --gtest_filter="$EQUIV_FILTER" | sed 's/^/    /'
 done
-echo "OK: equivalence suites pass with SMART_SIMD=0/1 at 1 and 4 threads"
+echo "OK: equivalence suites pass at 1 and 4 threads"
 
 echo "== determinism digest (SMART_THREADS=1 vs default) =="
 SMARTCTL="$BUILD_DIR/tools/smartctl"
@@ -132,6 +130,34 @@ if [[ $rc_runtime -ne 1 ]] || ! grep -q '^smartctl: error:' "$ARTDIR/runtime_err
   exit 1
 fi
 echo "OK: usage errors exit 2, runtime errors exit 1"
+
+# An option the subcommand does not read is a usage error, never silently
+# ignored: a typo'd serve knob and a bogus flag on an option-less command.
+# stdin is empty, so a daemon that wrongly starts serves nothing and exits 0.
+expect_usage_error() {  # usage: expect_usage_error WANT_STDERR_PATTERN CMD...
+  local want=$1
+  shift
+  set +e
+  "$@" </dev/null >/dev/null 2>"$ARTDIR/usage_err.txt"
+  local rc=$?
+  set -e
+  echo "  rc=$rc $(head -n 1 "$ARTDIR/usage_err.txt")"
+  if [[ $rc -ne 2 ]] || ! grep -q -- "$want" "$ARTDIR/usage_err.txt"; then
+    echo "FAIL: expected a usage error (rc 2) matching '$want'" >&2
+    exit 1
+  fi
+}
+expect_usage_error 'serve: unknown option --max-bach' \
+  "$SMARTCTL" serve --model "$ARTDIR/model.smart" --stdio --max-bach 8
+expect_usage_error 'gpus: unknown option --bogus' "$SMARTCTL" gpus --bogus 1
+# A malformed SMART_PRECISION is the same usage error as a malformed
+# --precision, before the model loads, even for a GBR artifact that never
+# reads the knob.
+expect_usage_error 'SMART_PRECISION must be f64 or f32' \
+  env SMART_PRECISION=f16 "$SMARTCTL" "${ADVISE_ARGS[@]}" --model "$ARTDIR/model.smart"
+expect_usage_error 'SMART_PRECISION must be f64 or f32' \
+  env SMART_PRECISION=f16 "$SMARTCTL" serve --model "$ARTDIR/model.smart" --stdio
+echo "OK: unknown options and a malformed SMART_PRECISION exit 2 before any work"
 
 # Corrupt corpora are runtime failures located at the offending line, never
 # usage errors: an offset with z != 0 in a 2-D corpus, a coordinate beyond
@@ -451,28 +477,12 @@ for mb in 1 8 64; do
 done
 echo "OK: reply sets byte-identical across max-batch {1,8,64} x threads {1,4} x shuffled arrival"
 
-# SMART_SIMD=0 must not change one reply byte: the fused/flattened strict
-# kernels carry the same bit-exact contract as the scalar walk they replace.
-start_serve 4 --max-batch 8 --max-wait-us 200 --simd 0
-"$HARNESS" --socket "$SOCK" --requests "$ARTDIR/serve_requests.txt" \
-  --shuffle 7 --print sorted --shutdown-after > "$ARTDIR/serve_sorted.txt"
-if ! wait "$serve_pid"; then
-  echo "FAIL: daemon exited non-zero after shutdown verb (--simd 0 leg)" >&2
-  exit 1
-fi
-serve_pid=""
-if ! cmp -s "$ARTDIR/serve_sorted.txt" "$golden"; then
-  echo "FAIL: --simd 0 reply set diverged from the SIMD reply set" >&2
-  diff "$golden" "$ARTDIR/serve_sorted.txt" >&2 || true
-  exit 1
-fi
-echo "OK: --simd 0 daemon replies byte-identical to the vectorized daemon"
-
 echo "== serve daemon: --precision f32 determinism matrix =="
 # The relaxed kernels are batch-size- and thread-count-invariant per element
 # (DESIGN.md §13), so an f32 daemon's reply set must also be byte-identical
-# across batching and threading — against its own f32 reference, which may
-# legitimately differ from the f64 reply bytes.
+# across batching and threading. The artifact here is GBR, and GBDT
+# prediction reads no precision knob, so the f32 reference must moreover
+# equal the f64 reference byte for byte.
 f32_golden=""
 for mb in 1 64; do
   for t in 1 4; do
@@ -496,7 +506,12 @@ for mb in 1 64; do
     fi
   done
 done
-echo "OK: --precision f32 reply sets byte-identical across max-batch {1,64} x threads {1,4}"
+if ! cmp -s "$f32_golden" "$golden"; then
+  echo "FAIL: --precision f32 changed GBR reply bytes (GBDT reads no precision knob)" >&2
+  diff "$golden" "$f32_golden" >&2 || true
+  exit 1
+fi
+echo "OK: --precision f32 reply sets byte-identical across max-batch {1,64} x threads {1,4}, and equal to f64 for GBR"
 
 echo "== serve daemon: golden equivalence vs one-shot advise --model =="
 # serve answers through advise_batch plus the wire codec; the CLI answers
@@ -552,6 +567,26 @@ printf 'ping s1\nshutdown s2\n' \
 grep -qx 'ok s1 pong v1' "$ARTDIR/stdio_out.txt"
 grep -qx 'ok s2 bye' "$ARTDIR/stdio_out.txt"
 echo "  stdio session: ping answered, shutdown verb drains, rc 0"
+
+# In stdio mode stdout is the protocol stream: with --timing 1 and
+# SMART_TIMING=1 both exit reports go to stderr, so a client reading to
+# EOF sees exactly one reply line per request.
+printf '%s\n' 'ping k1' 'advise k2 shape=star dims=2 order=2 gpu=V100' \
+  'predict k3 shape=box dims=2 order=1 gpu=A100' 'bogus k4' \
+  | SMART_TIMING=1 "$SMARTCTL" serve --model "$ARTDIR/model.smart" --stdio \
+    --timing 1 > "$ARTDIR/stdio_report_out.txt" 2>"$ARTDIR/stdio_report_err.txt"
+stdio_lines=$(wc -l < "$ARTDIR/stdio_report_out.txt")
+stdio_other=$(grep -cvE '^(ok|err) ' "$ARTDIR/stdio_report_out.txt" || true)
+if [[ $stdio_lines -ne 4 ]] || [[ $stdio_other -ne 0 ]]; then
+  echo "FAIL: stdio stdout must be 4 reply lines (got $stdio_lines lines, $stdio_other non-reply)" >&2
+  cat "$ARTDIR/stdio_report_out.txt" >&2
+  exit 1
+fi
+if ! grep -q -- '-- timing counters --' "$ARTDIR/stdio_report_err.txt"; then
+  echo "FAIL: stdio timing reports missing from stderr" >&2
+  exit 1
+fi
+echo "  stdio --timing: 4 requests -> 4 reply lines on stdout, reports on stderr"
 
 start_serve 1 --max-batch 8
 for _ in $(seq 1 100); do
@@ -834,13 +869,11 @@ cmake --build "$ASAN_DIR" -j"$(nproc)" --target smart_tests smartctl serve_harne
 (cd "$ASAN_DIR" && UBSAN_OPTIONS=halt_on_error=1 ctest --output-on-failure -j"$(nproc)" -L unit)
 # The unit label already covers the SIMD kernel + precision suites; add the
 # parallel-pool precision suite so the vectorized kernels also run sanitized
-# under the task pool, with the fused/flattened paths on and off.
-for simd in 0 1; do
-  echo "  sanitized equivalence pass: SMART_SIMD=$simd"
-  SMART_SIMD=$simd UBSAN_OPTIONS=halt_on_error=1 "$ASAN_DIR/tests/smart_tests" \
-    --gtest_brief=1 \
-    --gtest_filter='ParallelPrecisionEquivalence.*:SimdKernels.*' | sed 's/^/    /'
-done
+# under the task pool.
+echo "  sanitized equivalence pass"
+UBSAN_OPTIONS=halt_on_error=1 "$ASAN_DIR/tests/smart_tests" \
+  --gtest_brief=1 \
+  --gtest_filter='ParallelPrecisionEquivalence.*:SimdKernels.*' | sed 's/^/    /'
 echo "OK: unit suite clean under AddressSanitizer + UBSan"
 
 echo "== sanitized serve daemon vs the fuzz corpus =="
@@ -933,34 +966,3 @@ if ! cmp -s "$ARTDIR/tsan_post.txt" "$ARTDIR/chaos_goldenB.txt"; then
   exit 1
 fi
 echo "OK: TSan daemon raced 8 jittered connections through a hot reload cleanly"
-
-echo "== bench smoke: batched advisor inference =="
-# Small corpus (SMART_SCALE) keeps this a smoke test; the bench itself
-# fails (exit 1) if any f64 batched prediction is not bit-identical to the
-# per-variant call or any f32 prediction is outside the tolerance gate. The
-# >= 4x MLP f32 speedup acceptance gate applies at SMART_SCALE=1. The smoke
-# steps write their trajectory points under $ARTDIR, so the script leaves
-# the tracked BENCH_*.json files alone; run a bench by hand to append one.
-SMART_SCALE=${SMART_BENCH_SCALE:-0.05} \
-  SMART_BENCH_JSON="$ARTDIR/BENCH_advisor.json" \
-  SMART_BENCH_REPEATS=1 \
-  "$BUILD_DIR/bench/bench_advisor_batch"
-
-echo "== bench smoke: two-phase profiling substrate =="
-# Exit 1 inside the bench if the monolithic sweep and the cached-analysis
-# sweep ever diverge bitwise. The >= 2x end-to-end gate applies at
-# SMART_SCALE=1 (the scale-1 3-D corpus); the smoke scale only checks
-# equivalence.
-SMART_SCALE=${SMART_BENCH_SCALE:-0.05} \
-  SMART_BENCH_JSON="$ARTDIR/BENCH_profile.json" \
-  SMART_BENCH_REPEATS=1 \
-  "$BUILD_DIR/bench/bench_profile"
-
-echo "== bench smoke: serve-mode resident daemon =="
-# The bench fails (exit 1) if any serve reply is not byte-identical to the
-# per-item advise()/recommend_gpu() report. The >= 10x resident-vs-cold
-# speedup acceptance gate applies at SMART_SCALE=1 (the paper's 500-stencil
-# corpus); the smoke scale only checks equivalence and liveness.
-SMART_SCALE=${SMART_BENCH_SCALE:-0.05} \
-  SMART_BENCH_JSON="$ARTDIR/BENCH_serve.json" \
-  "$BUILD_DIR/bench/bench_serve"

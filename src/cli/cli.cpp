@@ -1,17 +1,21 @@
 #include "cli/cli.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <initializer_list>
+#include <iostream>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 
 #include <pthread.h>
@@ -37,14 +41,32 @@ namespace smart::cli {
 
 namespace {
 
-/// Validates an optional --precision value ("" = inherit SMART_PRECISION)
-/// before any expensive work, so a typo exits 2 instantly.
-std::string precision_option(const CommandLine& cmd, const char* subcommand) {
-  const std::string precision = cmd.get("precision", "");
-  if (!precision.empty() && precision != "f64" && precision != "f32") {
-    throw std::invalid_argument(std::string(subcommand) +
-                                ": --precision must be f64 or f32");
+/// Rejects every option the subcommand does not read. Each subcommand calls
+/// this first with the options it reads, so a typo (`--max-bach 8`) is a
+/// usage error before any file is read instead of a silently ignored flag.
+void known_options(const CommandLine& cmd,
+                   std::initializer_list<std::string_view> keys) {
+  for (const auto& [key, value] : cmd.options) {
+    if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
+      throw std::invalid_argument(cmd.command + ": unknown option --" + key);
+    }
   }
+}
+
+/// Validates the inference precision before any expensive work, so a typo
+/// exits 2 instantly: SMART_PRECISION (the default) and the optional
+/// --precision that overrides it. Returns --precision ("" = inherit).
+std::string precision_option(const CommandLine& cmd, const char* subcommand) {
+  const auto check = [subcommand](const std::string& value, const char* name) {
+    if (value != "f64" && value != "f32") {
+      throw std::invalid_argument(std::string(subcommand) + ": " + name +
+                                  " must be f64 or f32 (got '" + value + "')");
+    }
+  };
+  const char* env = std::getenv("SMART_PRECISION");
+  if (env != nullptr && *env != '\0') check(env, "SMART_PRECISION");
+  const std::string precision = cmd.get("precision", "");
+  if (!precision.empty()) check(precision, "--precision");
   return precision;
 }
 
@@ -60,6 +82,7 @@ stencil::StencilPattern shape_from_options(const CommandLine& cmd) {
 }
 
 int cmd_generate(const CommandLine& cmd, std::ostream& out) {
+  known_options(cmd, {"dims", "order", "count", "seed"});
   stencil::GeneratorConfig config;
   config.dims = cmd.get_int("dims", 2);
   config.order = cmd.get_int("order", 4);
@@ -128,6 +151,9 @@ int shard_plan(const core::ProfileConfig& config, const core::ShardSpec& shard,
 }
 
 int cmd_profile(const CommandLine& cmd, std::ostream& out) {
+  known_options(cmd, {"dims", "stencils", "samples", "seed", "journal",
+                      "resume", "retries", "shard", "plan", "faults",
+                      "checksum", "timing", "out"});
   core::ProfileConfig config;
   config.dims = cmd.get_int("dims", 2);
   config.num_stencils = cmd.get_int("stencils", 40);
@@ -205,6 +231,7 @@ int cmd_profile(const CommandLine& cmd, std::ostream& out) {
 /// "<file>:<line>:" context from core::load_dataset. Both surface through
 /// the PR 5 exit-code contract (rc 1, one-line `smartctl: error:`).
 int cmd_merge(const CommandLine& cmd, std::ostream& out) {
+  known_options(cmd, {"out", "checksum", "timing"});
   if (!cmd.has("out")) {
     throw std::invalid_argument("merge: --out FILE is required");
   }
@@ -237,7 +264,8 @@ int cmd_merge(const CommandLine& cmd, std::ostream& out) {
   return 0;
 }
 
-int cmd_ocs(std::ostream& out) {
+int cmd_ocs(const CommandLine& cmd, std::ostream& out) {
+  known_options(cmd, {});
   util::Table table({"idx", "combination"});
   const auto& all = gpusim::valid_combinations();
   for (std::size_t i = 0; i < all.size(); ++i) {
@@ -247,7 +275,8 @@ int cmd_ocs(std::ostream& out) {
   return 0;
 }
 
-int cmd_gpus(std::ostream& out) {
+int cmd_gpus(const CommandLine& cmd, std::ostream& out) {
+  known_options(cmd, {});
   util::Table table({"GPU", "Mem(GB)", "BW(GB/s)", "SMs", "TFLOPS", "$/hr"});
   for (const auto& gpu : gpusim::evaluation_gpus()) {
     table.row()
@@ -276,6 +305,8 @@ core::MartConfig mart_config(const CommandLine& cmd, int dims) {
 }
 
 int cmd_train(const CommandLine& cmd, std::ostream& out) {
+  // stencils and seed are read by mart_config().
+  known_options(cmd, {"out", "corpus", "dims", "stencils", "seed", "timing"});
   if (!cmd.has("out")) {
     throw std::invalid_argument("train: --out FILE is required");
   }
@@ -295,6 +326,10 @@ int cmd_train(const CommandLine& cmd, std::ostream& out) {
 }
 
 int cmd_advise(const CommandLine& cmd, std::ostream& out) {
+  // shape/dims/order are read by shape_from_options(), stencils and seed
+  // by mart_config().
+  known_options(cmd, {"shape", "dims", "order", "gpu", "model", "corpus",
+                      "precision", "stencils", "seed", "timing"});
   const auto pattern = shape_from_options(cmd);
   if (cmd.has("model") && cmd.has("corpus")) {
     throw std::invalid_argument(
@@ -622,6 +657,10 @@ class SessionSet {
 int cmd_serve(const CommandLine& cmd, std::ostream& out) {
   // Every flag is validated BEFORE the model load, so usage errors are
   // instant (and exit 2) instead of surfacing after seconds of deserializing.
+  known_options(cmd, {"model", "socket", "stdio", "max-batch", "max-wait-us",
+                      "max-queue", "deadline-us", "max-conns", "max-inflight",
+                      "idle-timeout-ms", "write-timeout-ms", "precision",
+                      "faults", "timing"});
   if (!cmd.has("model")) {
     throw std::invalid_argument("serve: --model FILE is required");
   }
@@ -670,10 +709,6 @@ int cmd_serve(const CommandLine& cmd, std::ostream& out) {
     throw std::invalid_argument("serve: --write-timeout-ms must be >= 0");
   }
   config.precision = precision_option(cmd, "serve");
-  config.simd = cmd.get_int("simd", -1);
-  if (config.simd < -1 || config.simd > 1) {
-    throw std::invalid_argument("serve: --simd must be 0 or 1");
-  }
   // --faults scopes an injected accept/read/write fault schedule to this
   // daemon (chaos harness); it overrides and restores SMART_FAULTS.
   std::optional<util::ScopedFaultInjection> faults;
@@ -707,19 +742,16 @@ int cmd_serve(const CommandLine& cmd, std::ostream& out) {
   const ScopedSignal on_int(SIGINT, serve_stop_handler);
   const ScopedSignal ignore_pipe(SIGPIPE, SIG_IGN);
 
-  // Startup banner: which artifact is live. Written to stderr in stdio
-  // mode, where stdout is the protocol stream.
+  // In stdio mode stdout is the protocol stream: the startup banner (which
+  // artifact is live) and the exit report go to stderr instead.
+  const bool stdio_mode = stdout_is_protocol(cmd);
+  std::ostream& report_out = stdio_mode ? std::cerr : out;
   {
     const auto snapshot = server.model_snapshot();
-    std::ostringstream banner;
-    banner << "serve: model " << model_path << " version=" << snapshot.version
-           << " checksum=" << snapshot.checksum << " epoch=" << server.epoch();
-    if (socket_path.empty()) {
-      // stdio mode: stdout is the protocol stream, the banner goes aside.
-      std::fprintf(stderr, "%s\n", banner.str().c_str());
-    } else {
-      out << banner.str() << std::endl;
-    }
+    report_out << "serve: model " << model_path
+               << " version=" << snapshot.version
+               << " checksum=" << snapshot.checksum
+               << " epoch=" << server.epoch() << std::endl;
   }
 
   // SIGHUP poller: hot reload without interrupting traffic. The blocked
@@ -757,7 +789,7 @@ int cmd_serve(const CommandLine& cmd, std::ostream& out) {
     }
   } poller_join{poller_stop, reload_poller};
 
-  if (socket_path.empty()) {
+  if (stdio_mode) {
     serve_connection(server, STDIN_FILENO, STDOUT_FILENO);
   } else {
     const int listen_fd = util::listen_unix(socket_path);
@@ -812,22 +844,23 @@ int cmd_serve(const CommandLine& cmd, std::ostream& out) {
 
   if (timing) {
     const auto counters = server.counters_snapshot();
-    out << "serve: served=" << counters.served
-        << " errors=" << counters.errors
-        << " memo_hits=" << counters.memo_hits
-        << " batches=" << counters.batches
-        << " shed_busy=" << counters.shed_busy
-        << " shed_deadline=" << counters.shed_deadline
-        << " p50_us=" << counters.p50_us
-        << " p99_us=" << counters.p99_us
-        << " qps=" << util::format_double(counters.qps, 1)
-        << " epoch=" << counters.epoch << '\n'
-        << util::timing_report();
+    report_out << "serve: served=" << counters.served
+               << " errors=" << counters.errors
+               << " memo_hits=" << counters.memo_hits
+               << " batches=" << counters.batches
+               << " shed_busy=" << counters.shed_busy
+               << " shed_deadline=" << counters.shed_deadline
+               << " p50_us=" << counters.p50_us
+               << " p99_us=" << counters.p99_us
+               << " qps=" << util::format_double(counters.qps, 1)
+               << " epoch=" << counters.epoch << '\n'
+               << util::timing_report();
   }
   return 0;
 }
 
 int cmd_codegen(const CommandLine& cmd, std::ostream& out) {
+  known_options(cmd, {"shape", "dims", "order", "oc", "seed"});
   const auto pattern = shape_from_options(cmd);
   const auto problem = gpusim::ProblemSize::paper_default(pattern.dims());
 
@@ -853,6 +886,7 @@ int cmd_codegen(const CommandLine& cmd, std::ostream& out) {
 }
 
 int cmd_features(const CommandLine& cmd, std::ostream& out) {
+  known_options(cmd, {"shape", "dims", "order"});
   const auto pattern = shape_from_options(cmd);
   constexpr int kMaxOrder = 4;
   const auto features = stencil::extract_features(pattern, kMaxOrder);
@@ -867,6 +901,10 @@ int cmd_features(const CommandLine& cmd, std::ostream& out) {
 }
 
 }  // namespace
+
+bool stdout_is_protocol(const CommandLine& cmd) {
+  return cmd.command == "serve" && cmd.get("socket", "").empty();
+}
 
 std::string CommandLine::get(const std::string& key,
                              const std::string& fallback) const {
@@ -944,7 +982,7 @@ std::string usage() {
   return
       "smartctl — StencilMART command line\n"
       "  (SMART_THREADS caps the task pool; SMART_TIMING=1 prints counters;\n"
-      "   SMART_SIMD=0 scalar inference; SMART_PRECISION=f32 relaxed FP)\n"
+      "   SMART_PRECISION=f32 relaxed-FP inference; unknown options exit 2)\n"
       "  generate --dims D --order N --count K [--seed S]   random stencils\n"
       "  profile  --dims D --stencils N [--out FILE]        build a corpus\n"
       "           [--checksum] [--timing]                   determinism digest\n"
@@ -966,7 +1004,7 @@ std::string usage() {
       "           [--deadline-us U] [--max-inflight N]\n"
       "           [--idle-timeout-ms T] [--write-timeout-ms T]\n"
       "           [--faults SPEC]                            accept/read/write chaos\n"
-      "           [--precision f64|f32] [--simd 0|1]         f32 = relaxed-FP inference\n"
+      "           [--precision f64|f32]                      f32 = relaxed-FP inference\n"
       "           (line protocol: advise|predict|stats|ping|healthz|reload|shutdown;\n"
       "            batches concurrent requests, memoizes per stencil;\n"
       "            SIGHUP or `reload` hot-swaps the --model artifact)\n"
@@ -980,8 +1018,8 @@ int run_command(const CommandLine& cmd, std::ostream& out) {
   if (cmd.command == "generate") return cmd_generate(cmd, out);
   if (cmd.command == "profile") return cmd_profile(cmd, out);
   if (cmd.command == "merge") return cmd_merge(cmd, out);
-  if (cmd.command == "ocs") return cmd_ocs(out);
-  if (cmd.command == "gpus") return cmd_gpus(out);
+  if (cmd.command == "ocs") return cmd_ocs(cmd, out);
+  if (cmd.command == "gpus") return cmd_gpus(cmd, out);
   if (cmd.command == "train") return cmd_train(cmd, out);
   if (cmd.command == "advise") return cmd_advise(cmd, out);
   if (cmd.command == "serve") return cmd_serve(cmd, out);

@@ -9,10 +9,11 @@
 //   smartctl advise   --model model.smart --shape star --order 2 --gpu V100
 //   smartctl advise   --corpus corpus.txt --shape star --order 2 --gpu V100
 //   smartctl serve    --model model.smart --socket /tmp/smart.sock
-//   smartctl codegen  --shape box --dims 3 --order 2 --oc ST_RT [--out dir]
+//   smartctl codegen  --shape box --dims 3 --order 2 --oc ST_RT
 //
 // The argument parser and command dispatch live in the library so they are
-// unit-testable; tools/smartctl.cpp is a thin main().
+// unit-testable; tools/smartctl.cpp is a thin main(). Each subcommand
+// accepts only the options it reads: anything else is a usage error.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +48,15 @@ CommandLine parse_command_line(const std::vector<std::string>& args);
 
 /// Executes a parsed command, writing human-readable output to `out`.
 /// Returns a process exit code (0 = success). Unknown commands print the
-/// usage text and return 2.
+/// usage text and return 2. An option the subcommand does not read throws
+/// std::invalid_argument("<command>: unknown option --<key>") before any
+/// file is read.
 int run_command(const CommandLine& cmd, std::ostream& out);
+
+/// True when `cmd` answers its line protocol on stdout (`serve` without
+/// --socket). Reports then belong on stderr, where the serve banner and
+/// reload notices go, so stdout carries replies only.
+bool stdout_is_protocol(const CommandLine& cmd);
 
 /// The usage/help text.
 std::string usage();

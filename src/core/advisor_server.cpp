@@ -77,7 +77,6 @@ AdvisorServer::AdvisorServer(ModelSnapshot initial, ServeConfig config,
     throw std::invalid_argument("AdvisorServer: deadline_us must be >= 0");
   }
   if (config_.memo_capacity == 0) config_.memo_capacity = 1;
-  if (config_.simd >= 0) simd_override_.emplace(config_.simd != 0);
   if (!config_.precision.empty()) {
     precision_override_.emplace(
         ml::precision_from_string(config_.precision.c_str()));

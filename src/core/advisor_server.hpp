@@ -86,16 +86,15 @@ struct ServeConfig {
   /// Response-memo entries kept before the cache is wholesale evicted
   /// (simple epoch eviction; correctness never depends on cache state).
   std::size_t memo_capacity = 1 << 16;
-  /// Inference-mode overrides held for the server's lifetime (the knobs are
-  /// process-global — see ml/simd.hpp — so the batcher thread inherits
-  /// them; the previous values are restored on destruction). `precision` is
-  /// "" (inherit), "f64" or "f32"; `simd` is -1 (inherit), 0 or 1. An
-  /// unknown precision string throws std::invalid_argument at construction.
-  /// With "f32" the determinism contract below still holds per machine:
-  /// the relaxed kernels' per-element math is batch-size-, row-group- and
+  /// Inference-precision override held for the server's lifetime (the
+  /// knob is process-global — see ml/simd.hpp — so the batcher thread
+  /// inherits it; the previous value is restored on destruction).
+  /// `precision` is "" (inherit), "f64" or "f32". An unknown precision
+  /// string throws std::invalid_argument at construction. With "f32" the
+  /// determinism contract below still holds per machine: the relaxed
+  /// kernels' per-element math is batch-size-, row-group- and
   /// thread-count-invariant.
   std::string precision;
-  int simd = -1;
 };
 
 /// Snapshot of the serve counters (the `stats` verb payload).
@@ -203,8 +202,7 @@ class AdvisorServer {
   ServeConfig config_;
   // Applied before the batcher thread spawns; destroyed after it joins
   // (members precede batcher_, and the destructor joins explicitly), so the
-  // overrides cover every batch the server ever executes.
-  std::optional<ml::SimdSection> simd_override_;
+  // override covers every batch the server ever executes.
   std::optional<ml::PrecisionSection> precision_override_;
 
   // Epoch-tagged model slot. model_mu_ guards the snapshot; epoch_ is

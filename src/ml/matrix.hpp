@@ -91,13 +91,14 @@ Matrix matmul(const Matrix& a, const Matrix& b);
 /// aliased call would silently corrupt the product.
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& c);
 
-/// Strict fused inference kernel: C = act(A * B + bias) with `bias` a
-/// 1 x cols(B) row broadcast over the batch and act = ReLU when `relu`,
-/// identity otherwise. Per element this performs exactly the operations of
-/// matmul_into() followed by the legacy bias loop and ReLU pass, in the
-/// same order (sum over k ascending, then one bias add, then the max) — so
-/// fusing is bit-identical to the unfused three-pass path; it only removes
-/// the intermediate memory traffic. Same aliasing rule as matmul_into().
+/// Strict fused inference kernel (every Dense layer's inference step):
+/// C = act(A * B + bias) with `bias` a 1 x cols(B) row broadcast over the
+/// batch and act = ReLU when `relu`, identity otherwise. Per element this
+/// performs exactly the operations of matmul_into() followed by Dense's
+/// training-time bias loop and ReLU pass, in the same order (sum over k
+/// ascending, then one bias add, then the max) — so inference is
+/// bit-identical to forward(); fusing only removes the intermediate memory
+/// traffic. Same aliasing rule as matmul_into().
 void matmul_bias_act_into(const Matrix& a, const Matrix& b, const Matrix& bias,
                           bool relu, Matrix& c);
 
@@ -106,8 +107,8 @@ void matmul_bias_act_into(const Matrix& a, const Matrix& b, const Matrix& bias,
 /// ascending, but mul+add may contract to FMA and the column-remainder path
 /// splits the dot product over interleaved partial sums, so results are
 /// only tolerance-equivalent to the strict kernel. Dispatches once at
-/// runtime to the widest ISA this CPU supports (ml::dispatch_isa()) and
-/// falls back to a portable scalar-vector build elsewhere. For a fixed
+/// runtime to the widest ISA this CPU supports (AVX-512F, then AVX2+FMA)
+/// and falls back to a portable scalar-vector build elsewhere. For a fixed
 /// machine the output is deterministic and independent of batch size,
 /// blocking and thread count, exactly like the strict kernel.
 void matmul_bias_act_relaxed_into(const Matrix& a, const Matrix& b,

@@ -13,7 +13,6 @@
 #include <stdexcept>
 
 #include "ml/matrix.hpp"
-#include "ml/simd.hpp"
 #include "util/task_pool.hpp"
 
 namespace smart::ml {
@@ -84,26 +83,19 @@ using RelaxedKernelFn = void (*)(const float*, std::size_t, const float*,
 
 #endif  // x86-64 GCC
 
-struct Dispatch {
-  RelaxedKernelFn fn;
-  const char* isa;
-};
-
-Dispatch pick_kernel() {
+RelaxedKernelFn pick_kernel() {
 #if defined(SMART_HAVE_X86_VARIANTS)
-  if (__builtin_cpu_supports("avx512f")) {
-    return {relaxed_rows_avx512, "avx512f"};
-  }
+  if (__builtin_cpu_supports("avx512f")) return relaxed_rows_avx512;
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return {relaxed_rows_avx2, "avx2+fma"};
+    return relaxed_rows_avx2;
   }
 #endif
-  return {relaxed_rows_baseline, "scalar"};
+  return relaxed_rows_baseline;
 }
 
-const Dispatch& dispatched() {
-  static const Dispatch d = pick_kernel();
-  return d;
+RelaxedKernelFn dispatched() {
+  static const RelaxedKernelFn fn = pick_kernel();
+  return fn;
 }
 
 /// Same fan-out threshold as the strict kernels in matrix.cpp.
@@ -116,8 +108,6 @@ inline bool worth_parallel(std::size_t rows, std::size_t inner,
 constexpr std::size_t kRowGroup = 4;
 
 }  // namespace
-
-const char* dispatch_isa() noexcept { return dispatched().isa; }
 
 void matmul_bias_act_relaxed_into(const Matrix& a, const Matrix& b,
                                   const Matrix& bias, bool relu, Matrix& c) {
@@ -132,7 +122,7 @@ void matmul_bias_act_relaxed_into(const Matrix& a, const Matrix& b,
         "matmul_bias_act_relaxed_into: output aliases an input");
   }
   c.reshape_overwrite(a.rows(), b.cols());
-  const RelaxedKernelFn fn = dispatched().fn;
+  const RelaxedKernelFn fn = dispatched();
   const float* bias_ptr = bias.row(0).data();
   const auto run = [&](std::size_t i0, std::size_t i1) {
     fn(a.data(), a.cols(), b.data(), b.cols(), bias_ptr, relu, c.data(),

@@ -41,13 +41,6 @@ Matrix Dense::forward(const Matrix& x) {
   return y;
 }
 
-void Dense::infer(const Matrix& x, Matrix& out) {
-  matmul_into(x, w_, out);
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    for (std::size_t c = 0; c < out.cols(); ++c) out.at(r, c) += b_.at(0, c);
-  }
-}
-
 void Dense::infer_fused(const Matrix& x, Matrix& out, bool relu) {
   if (inference_precision() == Precision::kRelaxed) {
     matmul_bias_act_relaxed_into(x, w_, b_, relu, out);
@@ -449,12 +442,10 @@ const Matrix& Sequential::infer(const Matrix& x) {
   const Matrix* cur = &x;
   // Peephole: a Dense immediately followed by ReLU runs as one fused kernel
   // step (strict fusion is bit-identical, see matmul_bias_act_into), so the
-  // hot MLP path does one pass per layer pair instead of three. SMART_SIMD=0
-  // falls back to the plain per-layer walk.
-  const bool fuse = simd_enabled();
+  // hot MLP path does one pass per layer pair instead of three.
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     Matrix& dst = (cur == &infer_a_) ? infer_b_ : infer_a_;
-    Dense* dense = fuse ? dynamic_cast<Dense*>(layers_[i].get()) : nullptr;
+    Dense* dense = dynamic_cast<Dense*>(layers_[i].get());
     if (dense != nullptr) {
       const bool relu = i + 1 < layers_.size() &&
                         dynamic_cast<ReLU*>(layers_[i + 1].get()) != nullptr;

@@ -53,10 +53,10 @@ class Dense final : public Layer {
   /// (1 x out) directly.
   Dense(Matrix w, Matrix b);
   Matrix forward(const Matrix& x) override;
-  void infer(const Matrix& x, Matrix& out) override;
-  /// Fused inference step used by Sequential's Dense(+ReLU) peephole:
+  /// Dense's inference step, run by Sequential::infer for every Dense
+  /// layer (with the following ReLU folded in when there is one):
   /// out = act(x * W + b) in one pass. In the default strict precision this
-  /// is bit-identical to infer() (+ a ReLU pass when `relu`); in relaxed
+  /// is bit-identical to forward() (+ a ReLU pass when `relu`); in relaxed
   /// "f32" precision it dispatches the runtime-selected SIMD kernel
   /// (ml/simd.hpp), which is tolerance-equivalent only.
   void infer_fused(const Matrix& x, Matrix& out, bool relu);
@@ -177,10 +177,10 @@ class Sequential {
   /// set_training(false) first when the net has stochastic layers). The
   /// returned reference is valid until the next forward/infer call.
   ///
-  /// When ml::simd_enabled(), consecutive Dense+ReLU layers execute as one
-  /// fused kernel step (Dense::infer_fused). In strict precision the fusion
-  /// is bit-identical to the unfused walk; only the relaxed "f32" precision
-  /// changes values (within the equivalence suite's tolerance). Batch size
+  /// Every Dense runs Dense::infer_fused, and a Dense followed by a ReLU
+  /// executes as one fused kernel step. In strict precision the fusion is
+  /// bit-identical to forward(); only the relaxed "f32" precision changes
+  /// values (within the equivalence suite's tolerance). Batch size
   /// may shrink or grow freely between calls: every layer reshapes the
   /// scratch buffers before writing, and the matmul kernels reject aliased
   /// in/out matrices outright.

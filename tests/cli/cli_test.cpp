@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -481,6 +482,105 @@ TEST(CliRun, ShardSweepAndMergeEndToEnd) {
                std::runtime_error);
   for (int i = 0; i < 3; ++i) std::remove(shard_file(i).c_str());
   std::remove(merged.c_str());
+}
+
+TEST(CliRun, UnknownOptionIsUsageErrorForEverySubcommand) {
+  // A typo must fail loudly (rc 2 + usage) instead of running with the
+  // default; none of these paths exist, so the check precedes any I/O.
+  const std::vector<std::vector<std::string>> typos = {
+      {"generate", "--cuont", "3"},
+      {"profile", "--stencil", "6"},
+      {"merge", "--out", "full.txt", "--checksun", "1", "a.txt"},
+      {"ocs", "--all", "1"},
+      {"gpus", "--bogus", "1"},
+      {"train", "--out", "m.smart", "--corpse", "c.txt"},
+      {"advise", "--model", "m.smart", "--gpus", "V100"},
+      {"serve", "--model", "m.smart", "--stdio", "--max-bach", "8"},
+      {"serve", "--model", "m.smart", "--stdio", "--simd", "0"},
+      {"codegen", "--oc", "ST", "--out", "dir"},
+      {"features", "--shape", "box", "--order", "2", "--dim", "3"},
+  };
+  for (const auto& argv : typos) {
+    std::ostringstream out;
+    try {
+      run_command(parse_command_line(argv), out);
+      ADD_FAILURE() << argv[0] << ": accepted an unknown option";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(argv[0] + ": unknown option --"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(CliRun, KnownOptionsPassTheCheck) {
+  // Every option a subcommand reads is accepted: with a missing file the
+  // run gets as far as the I/O and fails with the runtime error instead.
+  std::ostringstream out;
+  EXPECT_THROW(
+      run_command(parse({"serve", "--model", "/nonexistent/m.smart", "--stdio",
+                         "--max-batch", "8", "--max-wait-us", "200",
+                         "--max-queue", "64", "--deadline-us", "0",
+                         "--max-conns", "4", "--max-inflight", "16",
+                         "--idle-timeout-ms", "0", "--write-timeout-ms", "0",
+                         "--precision", "f64", "--timing", "1"}),
+                  out),
+      std::runtime_error);
+  EXPECT_THROW(
+      run_command(parse({"serve", "--model", "/nonexistent/m.smart",
+                         "--socket", "/nonexistent/s.sock", "--max-inflight",
+                         "16"}),
+                  out),
+      std::runtime_error);
+  EXPECT_THROW(
+      run_command(parse({"advise", "--shape", "star", "--dims", "2", "--order",
+                         "2", "--gpu", "V100", "--model",
+                         "/nonexistent/m.smart", "--precision", "f32",
+                         "--stencils", "8", "--seed", "3", "--timing", "1"}),
+                  out),
+      std::runtime_error);
+  EXPECT_THROW(run_command(parse({"train", "--corpus", "/nonexistent/c.txt",
+                                  "--out", "m.smart", "--dims", "2",
+                                  "--stencils", "8", "--seed", "3",
+                                  "--timing", "1"}),
+                           out),
+               std::runtime_error);
+  EXPECT_THROW(run_command(parse({"merge", "--out", "full.txt", "--checksum",
+                                  "--timing", "1", "/nonexistent/s0.txt"}),
+                           out),
+               std::runtime_error);
+}
+
+TEST(CliRun, MalformedPrecisionEnvIsUsageErrorBeforeModelLoad) {
+  // SMART_PRECISION is checked where --precision is: a bad value exits 2
+  // before the (here nonexistent) model is read, even for a GBR artifact
+  // that would never consult it.
+  ASSERT_EQ(setenv("SMART_PRECISION", "f16", 1), 0);
+  std::ostringstream out;
+  const std::vector<std::vector<std::string>> commands = {
+      {"advise", "--model", "/nonexistent/m.smart"},
+      {"serve", "--model", "/nonexistent/m.smart", "--stdio"}};
+  for (const auto& argv : commands) {
+    try {
+      run_command(parse_command_line(argv), out);
+      ADD_FAILURE() << argv[0] << ": accepted SMART_PRECISION=f16";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("SMART_PRECISION"),
+                std::string::npos)
+          << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << argv[0] << ": not a usage error: " << e.what();
+    }
+  }
+  unsetenv("SMART_PRECISION");
+}
+
+TEST(CliRun, OnlyStdioServeAnswersOnStdout) {
+  EXPECT_TRUE(stdout_is_protocol(parse({"serve", "--model", "m", "--stdio"})));
+  EXPECT_TRUE(stdout_is_protocol(parse({"serve", "--model", "m"})));
+  EXPECT_FALSE(stdout_is_protocol(
+      parse({"serve", "--model", "m", "--socket", "/tmp/s.sock"})));
+  EXPECT_FALSE(stdout_is_protocol(parse({"advise", "--model", "m"})));
 }
 
 TEST(CliRun, UsageMentionsShardAndMerge) {

@@ -1,8 +1,5 @@
 // Float32 ("relaxed") inference equivalence gates (DESIGN.md §13):
 //
-//  - f64/strict contract: toggling SMART_SIMD never changes a single output
-//    bit of any regressor kind, serial or parallel — the fused kernels and
-//    the flattened GBDT layout are pure layout/fusion changes;
 //  - f32/relaxed contract, per model kind: GBR stays bitwise EXACT (the
 //    lockstep walk does the same comparisons and double accumulation);
 //    MLP and ConvMLP are tolerance-equivalent (reassociated/FMA float
@@ -75,23 +72,6 @@ std::vector<std::size_t> sample_idxs(const RegressionTask& task) {
                                std::min<std::size_t>(30, starts.size()))};
 }
 
-/// The strict/f64 contract: SMART_SIMD on vs off is bitwise identical.
-void check_f64_simd_invariance(RegressorKind kind) {
-  const RegressionTask& task = fitted_task(kind);
-  const auto idxs = sample_idxs(task);
-  const std::size_t gpu = 0;
-  const std::vector<double> fused = task.predict_batch(idxs, gpu);
-  std::vector<double> unfused;
-  {
-    const ml::SimdSection off(false);
-    unfused = task.predict_batch(idxs, gpu);
-  }
-  ASSERT_EQ(fused.size(), unfused.size());
-  for (std::size_t i = 0; i < fused.size(); ++i) {
-    expect_bitwise(fused[i], unfused[i]);
-  }
-}
-
 /// The relaxed/f32 contract: GBR exact; NN kinds tolerance-gated; all kinds
 /// reproducible and batch-size invariant in f32.
 void check_f32_equivalence(RegressorKind kind) {
@@ -130,21 +110,6 @@ void check_f32_equivalence(RegressorKind kind) {
 
 // --- unit label: pinned to one thread. ---
 
-TEST(PrecisionEquivalence, GbrF64InvariantUnderSimdToggleSerial) {
-  const util::SerialSection serial;
-  check_f64_simd_invariance(RegressorKind::kGbr);
-}
-
-TEST(PrecisionEquivalence, MlpF64InvariantUnderSimdToggleSerial) {
-  const util::SerialSection serial;
-  check_f64_simd_invariance(RegressorKind::kMlp);
-}
-
-TEST(PrecisionEquivalence, ConvMlpF64InvariantUnderSimdToggleSerial) {
-  const util::SerialSection serial;
-  check_f64_simd_invariance(RegressorKind::kConvMlp);
-}
-
 TEST(PrecisionEquivalence, GbrF32ExactSerial) {
   const util::SerialSection serial;
   check_f32_equivalence(RegressorKind::kGbr);
@@ -163,18 +128,6 @@ TEST(PrecisionEquivalence, ConvMlpF32WithinToleranceSerial) {
 // --- parallel label: same contracts at the default thread count. The f32
 // checks double as thread-count invariance gates: the serial suite above
 // already pinned the exact bits each batch must reproduce. ---
-
-TEST(ParallelPrecisionEquivalence, GbrF64InvariantUnderSimdToggle) {
-  check_f64_simd_invariance(RegressorKind::kGbr);
-}
-
-TEST(ParallelPrecisionEquivalence, MlpF64InvariantUnderSimdToggle) {
-  check_f64_simd_invariance(RegressorKind::kMlp);
-}
-
-TEST(ParallelPrecisionEquivalence, ConvMlpF64InvariantUnderSimdToggle) {
-  check_f64_simd_invariance(RegressorKind::kConvMlp);
-}
 
 TEST(ParallelPrecisionEquivalence, GbrF32Exact) {
   check_f32_equivalence(RegressorKind::kGbr);

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+
+#include "gpusim/simulator.hpp"
+#include "util/task_pool.hpp"
 
 namespace smart::core {
 namespace {
@@ -200,6 +205,50 @@ TEST(ProfileDataset, CrashesPresentFor3d) {
     }
   }
   EXPECT_TRUE(any_crash);
+}
+
+/// The two-phase sweep (one cached analysis per work unit, DESIGN.md §10)
+/// stores exactly what a one-shot Simulator::measure of each (stencil, OC,
+/// GPU, setting) returns: time_ms when ok, NaN otherwise, bit for bit.
+void expect_sweep_matches_per_setting_measure(int dims) {
+  ProfileConfig cfg = tiny_config(dims);
+  cfg.num_stencils = 12;
+  const auto ds = build_profile_dataset(cfg);
+  const gpusim::Simulator sim(cfg.sim);
+  const auto& ocs = gpusim::valid_combinations();
+  std::size_t measured = 0;
+  for (std::size_t s = 0; s < ds.stencils.size(); ++s) {
+    for (std::size_t g = 0; g < ds.num_gpus(); ++g) {
+      for (std::size_t o = 0; o < ocs.size(); ++o) {
+        const auto& times = ds.times[s][g][o];
+        ASSERT_EQ(times.size(), ds.settings[s][o].size());
+        for (std::size_t k = 0; k < times.size(); ++k) {
+          const auto prof = sim.measure(ds.stencils[s], ds.problems[s], ocs[o],
+                                        ds.settings[s][o][k], ds.gpus[g]);
+          const double want = prof.ok
+                                  ? prof.time_ms
+                                  : std::numeric_limits<double>::quiet_NaN();
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(times[k]),
+                    std::bit_cast<std::uint64_t>(want))
+              << dims << "-D stencil " << s << " gpu " << g << " oc " << o
+              << " setting " << k;
+          ++measured;
+        }
+      }
+    }
+  }
+  EXPECT_GT(measured, 0u);
+}
+
+TEST(ProfileDataset, SweepMatchesPerSettingMeasureBitwise) {
+  expect_sweep_matches_per_setting_measure(2);
+  expect_sweep_matches_per_setting_measure(3);
+}
+
+TEST(ProfileDataset, SweepMatchesPerSettingMeasureBitwiseSerial) {
+  const util::SerialSection serial;
+  expect_sweep_matches_per_setting_measure(2);
+  expect_sweep_matches_per_setting_measure(3);
 }
 
 }  // namespace

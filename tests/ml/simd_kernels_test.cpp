@@ -10,7 +10,10 @@
 //    empty and deep loaded trees included;
 //  - the kernels reject aliased matrices, and Sequential::infer survives
 //    shrinking/growing batch sizes (the serve admission batcher produces
-//    arbitrary batch-size sequences).
+//    arbitrary batch-size sequences);
+//  - Sequential::infer, which runs every Dense through the fused kernel,
+//    is bit-identical to forward() for MLP, FcNet and 2-D/3-D ConvNet
+//    stacks at any batch size.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -252,25 +255,37 @@ TEST(SimdKernels, SequentialInferShrinkGrowBatches) {
   check_shrink_grow(net, big, small);
 }
 
-TEST(SimdKernels, SequentialInferSimdToggleIsBitIdentical) {
-  // The strict fusion peephole must not change a single output bit.
-  util::Rng rng(5150);
-  Sequential net = make_mlp(10, 3, 24, rng);
+/// The nn.hpp contract: in inference mode Sequential::infer (fused Dense
+/// steps, ping-pong scratch buffers) returns forward()'s exact bits, for
+/// batch sizes on both sides of the kernels' parallel fan-out threshold.
+void check_infer_matches_forward(Sequential& net, std::size_t input_dim,
+                                 util::Rng& rng) {
   net.set_training(false);
-  const Matrix x = random_matrix(50, 10, rng);
-  const Matrix fused = net.infer(x);  // SMART_SIMD default-on
-  Matrix unfused;
-  {
-    const SimdSection off(false);
-    unfused = net.infer(x);
-  }
-  ASSERT_EQ(fused.rows(), unfused.rows());
-  ASSERT_EQ(fused.cols(), unfused.cols());
-  for (std::size_t r = 0; r < fused.rows(); ++r) {
-    for (std::size_t c = 0; c < fused.cols(); ++c) {
-      expect_bitwise(fused.at(r, c), unfused.at(r, c));
+  for (const std::size_t rows : {1u, 3u, 16u, 37u}) {
+    const Matrix x = random_matrix(rows, input_dim, rng);
+    const Matrix inferred = net.infer(x);
+    const Matrix expected = net.forward(x);
+    ASSERT_EQ(inferred.rows(), expected.rows());
+    ASSERT_EQ(inferred.cols(), expected.cols());
+    for (std::size_t r = 0; r < expected.rows(); ++r) {
+      for (std::size_t c = 0; c < expected.cols(); ++c) {
+        expect_bitwise(inferred.at(r, c), expected.at(r, c));
+      }
     }
   }
+}
+
+TEST(SimdKernels, SequentialInferMatchesForwardBitwise) {
+  util::Rng rng(5150);
+  Sequential mlp = make_mlp(10, 3, 24, rng);
+  check_infer_matches_forward(mlp, 10, rng);
+  Sequential fcnet = make_fcnet(40, 6, 4, 64, rng);
+  check_infer_matches_forward(fcnet, 40, rng);
+  // max_order 4: 9x9 and 9x9x9 pattern tensors, as the paper's models use.
+  Sequential conv2d = make_convnet(2, 4, 6, rng);
+  check_infer_matches_forward(conv2d, 81, rng);
+  Sequential conv3d = make_convnet(3, 4, 6, rng);
+  check_infer_matches_forward(conv3d, 729, rng);
 }
 
 /// Small synthetic regression problem for the GBDT layout checks.

@@ -9,13 +9,16 @@
 int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
   try {
-    const int rc = smart::cli::run_command(smart::cli::parse_command_line(args),
-                                           std::cout);
+    const smart::cli::CommandLine cmd = smart::cli::parse_command_line(args);
+    const int rc = smart::cli::run_command(cmd, std::cout);
     // SMART_TIMING=1 dumps the per-phase counters every command accumulated
     // (wall time + task counts for profiling, tuning and training phases).
+    // A daemon answering on stdout gets them on stderr instead.
     if (smart::util::env_int("SMART_TIMING", 0) != 0) {
       const std::string report = smart::util::timing_report();
-      if (!report.empty()) std::cout << '\n' << report;
+      std::ostream& report_out =
+          smart::cli::stdout_is_protocol(cmd) ? std::cerr : std::cout;
+      if (!report.empty()) report_out << '\n' << report;
     }
     return rc;
   } catch (const std::invalid_argument& e) {
