@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the library:
 // CPU reference executors, the analytic cost model, random-search tuning,
-// stencil representation, and model inference.
+// stencil representation, model inference and GBDT fitting.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -115,31 +115,76 @@ void BM_GbdtInference(benchmark::State& state) {
 }
 BENCHMARK(BM_GbdtInference);
 
+/// 500 stencils x the 11 Table II features, labelled with 5 OC groups: the
+/// shape of one per-GPU classifier fit in `smartctl train`.
+struct ClassifierData {
+  static constexpr int kClasses = 5;
+  ml::Matrix x{500, 11};
+  std::vector<int> labels = std::vector<int>(500);
+
+  explicit ClassifierData(util::Rng& rng) {
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      for (std::size_t c = 0; c < x.cols(); ++c) {
+        x.at(i, c) = static_cast<float>(rng.uniform(0.0, 1.0));
+      }
+      const float s = x.at(i, 0) + 0.5f * x.at(i, 1) + 0.25f * x.at(i, 2);
+      labels[i] = std::min(kClasses - 1, static_cast<int>(s * 2.8f));
+    }
+  }
+};
+
 // One OC-group classification as serve runs it per (stencil, GPU): the
 // default 120 rounds x 5 classes of depth-5 trees over the 11 Table II
 // features, one row per call.
 void BM_GbdtClassifierPredictRow(benchmark::State& state) {
   util::Rng rng(14);
-  const std::size_t n = 500;
-  constexpr int kClasses = 5;
-  ml::Matrix x(n, 11);
-  std::vector<int> labels(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t c = 0; c < 11; ++c) {
-      x.at(i, c) = static_cast<float>(rng.uniform(0.0, 1.0));
-    }
-    const float s = x.at(i, 0) + 0.5f * x.at(i, 1) + 0.25f * x.at(i, 2);
-    labels[i] = std::min(kClasses - 1, static_cast<int>(s * 2.8f));
-  }
+  const ClassifierData data(rng);
   ml::GbdtClassifier model;
-  model.fit(x, labels, kClasses);
+  model.fit(data.x, data.labels, ClassifierData::kClasses);
   std::size_t r = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.predict_row(x.row(r)));
-    r = r + 1 == n ? 0 : r + 1;
+    benchmark::DoNotOptimize(model.predict_row(data.x.row(r)));
+    r = r + 1 == data.x.rows() ? 0 : r + 1;
   }
 }
 BENCHMARK(BM_GbdtClassifierPredictRow);
+
+// One per-GPU classifier fit as `smartctl train` runs it: 120 rounds x 5
+// classes over 500 rows x 11 features.
+void BM_GbdtClassifierFit(benchmark::State& state) {
+  util::Rng rng(14);
+  const ClassifierData data(rng);
+  for (auto _ : state) {
+    ml::GbdtClassifier model;
+    model.fit(data.x, data.labels, ClassifierData::kClasses);
+    benchmark::DoNotOptimize(model.trees().data());
+  }
+}
+BENCHMARK(BM_GbdtClassifierFit)->Unit(benchmark::kMillisecond);
+
+// The regressor fit at the 3000-instance cap `smartctl train` sets: 120
+// rounds over 3000 rows x 40 features (Table II, OC, setting and GPU
+// features side by side).
+void BM_GbdtRegressorFit(benchmark::State& state) {
+  util::Rng rng(15);
+  const std::size_t n = 3000;
+  ml::Matrix x(n, 40);
+  std::vector<float> y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t c = 0; c < x.cols(); ++c) {
+      // Every fourth column takes 6 values, like the OC and GPU flags.
+      x.at(i, c) = c % 4 == 3 ? static_cast<float>(rng.uniform_int(0, 5))
+                              : static_cast<float>(rng.uniform(0.0, 1.0));
+    }
+    y[i] = x.at(i, 0) * x.at(i, 1) * 4.0f + x.at(i, 3) - 2.0f * x.at(i, 5);
+  }
+  for (auto _ : state) {
+    ml::GbdtRegressor model;
+    model.fit(x, y);
+    benchmark::DoNotOptimize(model.trees().data());
+  }
+}
+BENCHMARK(BM_GbdtRegressorFit)->Unit(benchmark::kMillisecond);
 
 void BM_MlpInference(benchmark::State& state) {
   util::Rng rng(12);

@@ -8,12 +8,13 @@
 //   shape in {star, box, cross}
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <iostream>
 
 #include "core/stencilmart.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace smart;
   const std::string shape = argc > 1 ? argv[1] : "box";
   const int dims = argc > 2 ? std::atoi(argv[2]) : 3;
@@ -107,4 +108,9 @@ int main(int argc, char** argv) {
             << "  t_mem/t_comp/t_sync  " << profile.t_mem_ms << " / "
             << profile.t_comp_ms << " / " << profile.t_sync_ms << " ms\n";
   return 0;
+} catch (const std::exception& e) {
+  // Library errors (a malformed SMART_* knob, a bad argument) end the
+  // example with one diagnostic line instead of std::terminate.
+  std::cerr << "autotune_compare: error: " << e.what() << '\n';
+  return 1;
 }

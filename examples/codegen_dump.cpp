@@ -4,13 +4,14 @@
 //
 // Build & run:  ./build/examples/codegen_dump [shape] [dims] [order] [outdir]
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iostream>
 
 #include "codegen/cuda_codegen.hpp"
 #include "core/stencilmart.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace smart;
   const std::string shape = argc > 1 ? argv[1] : "star";
   const int dims = argc > 2 ? std::atoi(argv[2]) : 3;
@@ -55,4 +56,9 @@ int main(int argc, char** argv) {
             << " KB, block barrier: " << (kernel.has_barrier ? "yes" : "no")
             << "\n";
   return 0;
+} catch (const std::exception& e) {
+  // Library errors (a malformed SMART_* knob, a bad argument) end the
+  // example with one diagnostic line instead of std::terminate.
+  std::cerr << "codegen_dump: error: " << e.what() << '\n';
+  return 1;
 }

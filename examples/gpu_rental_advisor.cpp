@@ -9,12 +9,13 @@
 //
 // Build & run:  ./build/examples/gpu_rental_advisor [dims]
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 
 #include "core/stencilmart.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace smart;
   const int dims = argc > 1 ? std::atoi(argv[1]) : 3;
 
@@ -101,4 +102,9 @@ int main(int argc, char** argv) {
   std::cout << "\nrental prices (Table III): P100 $1.46/hr, V100 $2.48/hr, "
                "A100 $2.93/hr\n";
   return 0;
+} catch (const std::exception& e) {
+  // Library errors (a malformed SMART_* knob, a bad argument) end the
+  // example with one diagnostic line instead of std::terminate.
+  std::cerr << "gpu_rental_advisor: error: " << e.what() << '\n';
+  return 1;
 }

@@ -9,6 +9,7 @@
 //
 // Build & run:  ./build/examples/oc_advisor [num_training_stencils]
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 
 #include "core/stencilmart.hpp"
@@ -17,7 +18,7 @@
 #include "stencil/features.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace smart;
   const int num_stencils = argc > 1 ? std::atoi(argv[1]) : 120;
 
@@ -108,4 +109,9 @@ int main(int argc, char** argv) {
             << core::ProfileDataset::num_ocs() << " OCs, with 1/"
             << core::ProfileDataset::num_ocs() << " of the tuning cost)\n";
   return 0;
+} catch (const std::exception& e) {
+  // Library errors (a malformed SMART_* knob, a bad argument) end the
+  // example with one diagnostic line instead of std::terminate.
+  std::cerr << "oc_advisor: error: " << e.what() << '\n';
+  return 1;
 }

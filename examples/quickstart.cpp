@@ -10,6 +10,7 @@
 //
 // Build & run:  ./build/examples/quickstart [seed]
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 
 #include "core/stencilmart.hpp"
@@ -17,7 +18,7 @@
 #include "stencil/tensor_repr.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace smart;
   const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
 
@@ -89,4 +90,9 @@ int main(int argc, char** argv) {
             << stencil::Grid::max_abs_diff(naive, blocked)
             << " (must be exactly 0)\n";
   return 0;
+} catch (const std::exception& e) {
+  // Library errors (a malformed SMART_* knob, a bad argument) end the
+  // example with one diagnostic line instead of std::terminate.
+  std::cerr << "quickstart: error: " << e.what() << '\n';
+  return 1;
 }

@@ -7,17 +7,22 @@
 # thread modes. Any divergence means a parallel loop broke the determinism
 # contract documented in src/util/task_pool.hpp.
 #
+# The golden model artifacts are then pinned by checksum at several thread
+# counts, and the examples must end library errors with rc 1.
+#
 # The serve gates then drive the resident daemon black-box: determinism
 # matrices, protocol fuzz, a multi-client chaos gate (16 connections,
 # client aborts, kill -9, SIGHUP hot reload mid-traffic), an overload
 # shedding gate against a tiny admission queue, and sanitizer legs
-# (ASan+UBSan over the unit suite + fuzz, TSan over the concurrent path).
+# (ASan+UBSan over the unit suite + fuzz, TSan over the concurrent serve
+# path and the concurrent model fits of `train`).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build}
 
-cmake -B "$BUILD_DIR" -S . >/dev/null
+# Warnings are errors here: GCC 12 builds every target warning-free.
+cmake -B "$BUILD_DIR" -S . -DSMART_WERROR=ON >/dev/null
 cmake --build "$BUILD_DIR" -j"$(nproc)"
 
 echo "== ctest (SMART_THREADS=1) =="
@@ -158,6 +163,21 @@ expect_usage_error 'SMART_PRECISION must be f64 or f32' \
 expect_usage_error 'SMART_PRECISION must be f64 or f32' \
   env SMART_PRECISION=f16 "$SMARTCTL" serve --model "$ARTDIR/model.smart" --stdio
 echo "OK: unknown options and a malformed SMART_PRECISION exit 2 before any work"
+
+# The examples end a library error with one "<example>: error: ..." line
+# and rc 1, never std::terminate (rc 134).
+set +e
+SMART_PRECISION=f16 SMART_SCALE=0.02 "$BUILD_DIR/examples/gpu_rental_advisor" \
+  >/dev/null 2>"$ARTDIR/example_err.txt"
+rc_example=$?
+set -e
+echo "  gpu_rental_advisor: rc=$rc_example $(head -n 1 "$ARTDIR/example_err.txt")"
+if [[ $rc_example -ne 1 ]] || [[ $(wc -l < "$ARTDIR/example_err.txt") -ne 1 ]] ||
+   ! grep -q '^gpu_rental_advisor: error: ' "$ARTDIR/example_err.txt"; then
+  echo "FAIL: an example should exit 1 with one 'gpu_rental_advisor: error:' line" >&2
+  exit 1
+fi
+echo "OK: examples report library errors on one line and exit 1"
 
 # Corrupt corpora are runtime failures located at the offending line, never
 # usage errors: an offset with z != 0 in a 2-D corpus, a coordinate beyond
@@ -316,6 +336,30 @@ for threads in 1 4; do
   done
 done
 echo "OK: every shard partition merges byte-identical to the single-process corpus"
+
+echo "== golden model artifacts (2-D and 3-D, SMART_THREADS {1,2,4}) =="
+# Training is deterministic: the concurrent fits, the row-major tree
+# histograms and the cached softmax exps must write the same artifact
+# bytes at any thread count. The trailing checksum line pins them.
+"$SMARTCTL" profile --dims 3 --stencils 500 --samples 4 --seed 20220530 \
+  --out "$ARTDIR/single3d.txt" >/dev/null
+for spec in "single.txt checksum 7bb481a3085b3173" "single3d.txt checksum f40bec3d4f4a7814"; do
+  corpus=${spec%% *}
+  want=${spec#* }
+  for threads in 1 2 4; do
+    model="$ARTDIR/golden_t${threads}.smart"
+    SMART_THREADS=$threads "$SMARTCTL" train --corpus "$ARTDIR/$corpus" \
+      --out "$model" >/dev/null
+    got=$(tail -n 1 "$model")
+    echo "  $corpus SMART_THREADS=$threads -> $got"
+    if [[ "$got" != "$want" ]]; then
+      echo "FAIL: trained artifact drifted from the golden checksum" >&2
+      echo "      want: $want" >&2
+      exit 1
+    fi
+  done
+done
+echo "OK: both golden corpora train to the golden artifacts at 1, 2 and 4 threads"
 
 echo "== sharded profiling: kill -9 one shard, --resume it, merge =="
 # SIGKILL shard 1 of 3 mid-sweep, resume it from its journal, and the merge
@@ -966,3 +1010,24 @@ if ! cmp -s "$ARTDIR/tsan_post.txt" "$ARTDIR/chaos_goldenB.txt"; then
   exit 1
 fi
 echo "OK: TSan daemon raced 8 jittered connections through a hot reload cleanly"
+
+echo "== ThreadSanitizer build over the concurrent model fits =="
+# `train` fits the regressor and the per-GPU classifiers side by side on
+# the task pool; any data race between the fits aborts the run, and the
+# sanitized artifact must equal the plain build's bytes.
+"$SMARTCTL" profile --dims 2 --stencils 100 --samples 2 --seed 5 \
+  --out "$ARTDIR/tsan_corpus.txt" >/dev/null
+SMART_THREADS=4 "$SMARTCTL" train --corpus "$ARTDIR/tsan_corpus.txt" \
+  --out "$ARTDIR/tsan_plain.smart" >/dev/null
+if ! TSAN_OPTIONS=halt_on_error=1 SMART_THREADS=4 "$TSAN_DIR/tools/smartctl" \
+     train --corpus "$ARTDIR/tsan_corpus.txt" --out "$ARTDIR/tsan_train.smart" \
+     >/dev/null 2>"$ARTDIR/tsan_train_err.txt"; then
+  echo "FAIL: TSan train exited non-zero (data race between the fits?)" >&2
+  cat "$ARTDIR/tsan_train_err.txt" >&2
+  exit 1
+fi
+if ! cmp -s "$ARTDIR/tsan_train.smart" "$ARTDIR/tsan_plain.smart"; then
+  echo "FAIL: TSan-trained artifact differs from the plain build's" >&2
+  exit 1
+fi
+echo "OK: concurrent fits ran clean under TSan at SMART_THREADS=4, same bytes"

@@ -357,11 +357,11 @@ int cmd_advise(const CommandLine& cmd, std::ostream& out) {
     if (cmd.has("corpus")) {
       // Train on the corpus's measured times (reproducible across calls,
       // and on real hardware: no re-profiling).
-      const auto dataset = core::load_dataset(cmd.get("corpus", ""));
+      auto dataset = core::load_dataset(cmd.get("corpus", ""));
       if (dataset.config.dims != pattern.dims()) {
         throw std::invalid_argument("corpus dimensionality mismatch");
       }
-      mart->train(dataset);
+      mart->train(std::move(dataset));
     } else {
       mart->train();
     }

@@ -313,7 +313,7 @@ GeneratedKernel CudaKernelGenerator::generate(
 
 std::string CudaKernelGenerator::generate_harness(
     const stencil::StencilPattern& pattern, const gpusim::OptCombination& oc,
-    const gpusim::ParamSetting& s, const gpusim::ProblemSize& problem,
+    const gpusim::ParamSetting& s, const gpusim::ProblemSize& /*problem*/,
     const GeneratedKernel& kernel) const {
   const int dims = pattern.dims();
   const bool merging = oc.bm || oc.cm;

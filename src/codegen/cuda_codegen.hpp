@@ -46,6 +46,8 @@ class CudaKernelGenerator {
 
   /// A host-side harness around `kernel`: allocation, launch configuration
   /// mirroring the cost model's block decomposition, a golden CPU check.
+  /// The grid extents come from the NX/NY/NZ defines generate() wrote into
+  /// the kernel for `problem`, so the harness itself reads no field of it.
   std::string generate_harness(const stencil::StencilPattern& pattern,
                                const gpusim::OptCombination& oc,
                                const gpusim::ParamSetting& setting,

@@ -20,11 +20,11 @@ void StencilMart::train() {
   fit_models();
 }
 
-void StencilMart::train(const ProfileDataset& dataset) {
+void StencilMart::train(ProfileDataset dataset) {
   if (dataset.stencils.empty()) {
     throw std::invalid_argument("StencilMart::train: empty corpus");
   }
-  dataset_ = std::make_unique<ProfileDataset>(dataset);
+  dataset_ = std::make_unique<ProfileDataset>(std::move(dataset));
   config_.profile = dataset_->config;
   fit_models();
 }
@@ -33,19 +33,20 @@ void StencilMart::fit_models() {
   merger_.fit(*dataset_);
 
   // One classifier per GPU (the paper trains per target architecture).
-  const ml::Matrix features = stencil_feature_matrix(*dataset_);
-  classifiers_.clear();
-  for (std::size_t g = 0; g < dataset_->num_gpus(); ++g) {
+  // Labels are checked serially first, so a corpus with no labelled
+  // stencil on several GPUs always names the first of them.
+  const std::size_t num_gpus = dataset_->num_gpus();
+  std::vector<std::vector<std::size_t>> rows(num_gpus);
+  std::vector<std::vector<int>> y(num_gpus);
+  for (std::size_t g = 0; g < num_gpus; ++g) {
     const auto labels = true_groups(*dataset_, merger_, g);
-    std::vector<std::size_t> rows;
-    std::vector<int> y;
     for (std::size_t s = 0; s < labels.size(); ++s) {
       if (labels[s] >= 0) {
-        rows.push_back(s);
-        y.push_back(labels[s]);
+        rows[g].push_back(s);
+        y[g].push_back(labels[s]);
       }
     }
-    if (rows.empty()) {
+    if (rows[g].empty()) {
       // Every stencil quarantined/crashed on this GPU: nothing to learn
       // from, and GbdtClassifier::fit on a 0-row matrix would fail deep in
       // the tree builder with an unhelpful message.
@@ -54,13 +55,29 @@ void StencilMart::fit_models() {
           dataset_->gpus[g].name +
           "' (every work unit crashed or was quarantined)");
     }
-    ml::GbdtClassifier clf;
-    clf.fit(features.gather_rows(rows), y, merger_.num_groups());
-    classifiers_.push_back(std::move(clf));
   }
-
+  const ml::Matrix features = stencil_feature_matrix(*dataset_);
   regression_ = std::make_unique<RegressionTask>(*dataset_, config_.regression);
-  regression_->fit_full(config_.regressor);
+
+  // The regressor and the classifiers are independent, deterministic fits:
+  // run them side by side, the regressor (the longest) first. Each task
+  // runs its own inner loops inline, writes only its own model and seeds
+  // its own generator, so the models are the same bits at any thread count.
+  std::vector<ml::GbdtClassifier> classifiers(num_gpus);
+  {
+    const util::PhaseTimer timer("mart.fit_models", num_gpus + 1);
+    util::parallel_for(num_gpus + 1, [&](std::size_t task) {
+      const util::SerialSection inline_loops;
+      if (task == 0) {
+        regression_->fit_full(config_.regressor);
+        return;
+      }
+      const std::size_t g = task - 1;
+      classifiers[g].fit(features.gather_rows(rows[g]), y[g],
+                         merger_.num_groups());
+    });
+  }
+  classifiers_ = std::move(classifiers);
   trained_ = true;
 }
 

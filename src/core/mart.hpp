@@ -78,7 +78,9 @@ class StencilMart {
   /// skips profiling entirely and fits all models on the corpus's measured
   /// times. The corpus's ProfileConfig replaces config.profile so advice
   /// uses the geometry and simulator settings the corpus was built with.
-  void train(const ProfileDataset& dataset);
+  /// The mart keeps the corpus: pass an rvalue to move it in, an lvalue to
+  /// keep a copy of your own.
+  void train(ProfileDataset dataset);
   bool trained() const noexcept { return trained_; }
 
   /// Best-OC advice for a (possibly unseen) stencil on a named GPU.
@@ -110,7 +112,8 @@ class StencilMart {
  private:
   std::size_t gpu_index(const std::string& name) const;
 
-  /// Fits merger, per-GPU classifiers and the regressor on *dataset_.
+  /// Fits the merger, then the per-GPU classifiers and the regressor side
+  /// by side on *dataset_ (timing phase mart.fit_models).
   void fit_models();
 
   // Model artifact (de)serialization (core/serialize) assembles/injects the

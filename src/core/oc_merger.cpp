@@ -256,8 +256,14 @@ OcMerger OcMerger::load(std::istream& in) {
 
 std::string OcMerger::group_name(int group) const {
   const auto& all = gpusim::valid_combinations();
-  return "G" + std::to_string(group) + "[" +
-         all[static_cast<std::size_t>(representative(group))].name() + "]";
+  // Appended piece by piece: GCC 12 reports a false -Wrestrict on
+  // "G" + std::to_string(...).
+  std::string name = "G";
+  name += std::to_string(group);
+  name += '[';
+  name += all[static_cast<std::size_t>(representative(group))].name();
+  name += ']';
+  return name;
 }
 
 }  // namespace smart::core

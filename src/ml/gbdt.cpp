@@ -156,38 +156,59 @@ void GbdtClassifier::fit(const Matrix& x, std::span<const int> labels,
                  static_cast<double>(labels.size() + num_classes));
   }
 
+  // Per row: the class scores, the row max m they were last normalised
+  // against and e_j = exp(s_j - m). A tree for class k changes only s_k, so
+  // while m holds only e_k is recomputed; every e_j is recomputed when m
+  // moves. The cached values are exactly the exps a full per-step softmax
+  // recomputes, so the gradients are the same bits.
   const std::size_t n = x.rows();
-  std::vector<double> scores(n * static_cast<std::size_t>(num_classes));
-  for (std::size_t r = 0; r < n; ++r) {
-    for (int k = 0; k < num_classes; ++k) {
-      scores[r * static_cast<std::size_t>(num_classes) + static_cast<std::size_t>(k)] =
-          base_scores_[static_cast<std::size_t>(k)];
+  const auto num_k = static_cast<std::size_t>(num_classes);
+  std::vector<double> scores(n * num_k);
+  std::vector<double> exps(n * num_k);
+  std::vector<double> row_max(n);
+  const auto max_of = [num_k](const double* srow) {
+    double max_score = srow[0];
+    for (std::size_t j = 1; j < num_k; ++j) {
+      max_score = std::max(max_score, srow[j]);
     }
+    return max_score;
+  };
+  const auto normalise_row = [&](std::size_t r, double max_score) {
+    row_max[r] = max_score;
+    for (std::size_t j = 0; j < num_k; ++j) {
+      exps[r * num_k + j] = std::exp(scores[r * num_k + j] - max_score);
+    }
+  };
+  for (std::size_t r = 0; r < n; ++r) {
+    std::copy(base_scores_.begin(), base_scores_.end(), &scores[r * num_k]);
+    normalise_row(r, max_of(&scores[r * num_k]));
   }
 
   std::vector<double> g(n);
   std::vector<double> h(n);
   for (int round = 0; round < params_.rounds; ++round) {
     const auto rows = subsample_rows(n, params_.subsample, rng);
-    for (int k = 0; k < num_classes; ++k) {
+    for (std::size_t k = 0; k < num_k; ++k) {
       // Per-row softmax gradients write disjoint g[r]/h[r] slots.
       util::parallel_for(n, [&](std::size_t r) {
-        const double* srow = &scores[r * static_cast<std::size_t>(num_classes)];
-        double max_score = srow[0];
-        for (int j = 1; j < num_classes; ++j) max_score = std::max(max_score, srow[j]);
+        const double* erow = &exps[r * num_k];
         double denom = 0.0;
-        for (int j = 0; j < num_classes; ++j) {
-          denom += std::exp(srow[j] - max_score);
-        }
-        const double pk = std::exp(srow[k] - max_score) / denom;
-        g[r] = pk - (labels[r] == k ? 1.0 : 0.0);
+        for (std::size_t j = 0; j < num_k; ++j) denom += erow[j];
+        const double pk = erow[k] / denom;
+        g[r] = pk - (labels[r] == static_cast<int>(k) ? 1.0 : 0.0);
         h[r] = std::max(1e-6, pk * (1.0 - pk));
       });
       RegressionTree tree;
       tree.fit(x, binned, binner_, g, h, rows, params_.tree);
       util::parallel_for(n, [&](std::size_t r) {
-        scores[r * static_cast<std::size_t>(num_classes) + static_cast<std::size_t>(k)] +=
-            params_.learning_rate * tree.predict_row(x.row(r));
+        double* srow = &scores[r * num_k];
+        srow[k] += params_.learning_rate * tree.predict_row(x.row(r));
+        const double max_score = max_of(srow);
+        if (max_score == row_max[r]) {
+          exps[r * num_k + k] = std::exp(srow[k] - max_score);
+        } else {
+          normalise_row(r, max_score);
+        }
       });
       trees_.push_back(std::move(tree));
     }

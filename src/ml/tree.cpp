@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "util/serialize_io.hpp"
-#include "util/task_pool.hpp"
 
 namespace smart::ml {
 
@@ -81,10 +80,29 @@ struct SplitChoice {
   int feature = -1;
   int bin = -1;          // go left if bin(value) <= bin
   double gain = 0.0;
-  float threshold = 0.0;
 };
 
 }  // namespace
+
+struct RegressionTree::Workspace {
+  /// Gradient, hessian and row count of one (feature, bin) cell.
+  struct HistBin {
+    double g = 0.0;
+    double h = 0.0;
+    int count = 0;
+  };
+
+  const Matrix& x;
+  std::span<const std::uint8_t> binned;
+  const FeatureBinner& binner;
+  std::span<const double> g;
+  std::span<const double> h;
+  const TreeParams& params;
+  std::vector<std::size_t> rows;         // a node owns a [begin, end) range
+  std::vector<std::size_t> spill;        // right rows during a partition
+  std::vector<std::size_t> hist_offset;  // feature f's first bin in hist
+  std::vector<HistBin> hist;             // all features' bins, back to back
+};
 
 void RegressionTree::fit(const Matrix& x, std::span<const std::uint8_t> binned,
                          const FeatureBinner& binner,
@@ -95,21 +113,37 @@ void RegressionTree::fit(const Matrix& x, std::span<const std::uint8_t> binned,
   nodes_.clear();
   split_gains_.clear();
   depth_ = 0;
-  std::vector<std::size_t> mutable_rows(rows.begin(), rows.end());
-  build(x, binned, binner, gradients, hessians, mutable_rows, params, 0);
+  Workspace ws{x,
+               binned,
+               binner,
+               gradients,
+               hessians,
+               params,
+               std::vector<std::size_t>(rows.begin(), rows.end()),
+               std::vector<std::size_t>(rows.size()),
+               std::vector<std::size_t>(x.cols()),
+               {}};
+  std::size_t total_bins = 0;
+  for (std::size_t f = 0; f < x.cols(); ++f) {
+    ws.hist_offset[f] = total_bins;
+    total_bins += static_cast<std::size_t>(binner.bins(f));
+  }
+  ws.hist.resize(total_bins);
+  build(ws, 0, rows.size(), 0);
 }
 
-int RegressionTree::build(const Matrix& x, std::span<const std::uint8_t> binned,
-                          const FeatureBinner& binner,
-                          std::span<const double> g, std::span<const double> h,
-                          std::vector<std::size_t>& rows,
-                          const TreeParams& params, int depth) {
+int RegressionTree::build(Workspace& ws, std::size_t begin, std::size_t end,
+                          int depth) {
+  const TreeParams& params = ws.params;
+  const std::span<const double> g = ws.g;
+  const std::span<const double> h = ws.h;
+  std::size_t* const rows = ws.rows.data();
   depth_ = std::max(depth_, depth);
   double g_total = 0.0;
   double h_total = 0.0;
-  for (std::size_t r : rows) {
-    g_total += g[r];
-    h_total += h[r];
+  for (std::size_t i = begin; i < end; ++i) {
+    g_total += g[rows[i]];
+    h_total += h[rows[i]];
   }
 
   const int node_index = static_cast<int>(nodes_.size());
@@ -117,38 +151,47 @@ int RegressionTree::build(const Matrix& x, std::span<const std::uint8_t> binned,
   nodes_[static_cast<std::size_t>(node_index)].weight =
       -g_total / (h_total + params.lambda);
 
+  const std::size_t n = end - begin;
   if (depth >= params.max_depth ||
-      static_cast<int>(rows.size()) < 2 * params.min_samples_leaf) {
+      static_cast<int>(n) < 2 * params.min_samples_leaf) {
     return node_index;
   }
 
-  // Best split: one histogram pass per feature. Features are independent,
-  // so big nodes fan the search over the task pool; folding the per-feature
-  // candidates in feature order with a strict > comparison picks exactly
-  // the split the serial scan picks (ties keep the lowest feature index).
-  const double parent_score = g_total * g_total / (h_total + params.lambda);
-  const std::size_t width = x.cols();
-  const auto best_for_feature = [&](std::size_t f, std::vector<double>& gh,
-                                    std::vector<int>& counts) {
-    SplitChoice choice;
-    const int nbins = binner.bins(f);
-    if (nbins < 2) return choice;
-    std::fill(gh.begin(), gh.end(), 0.0);
-    std::fill(counts.begin(), counts.end(), 0);
-    for (std::size_t r : rows) {
-      const int b = binned[r * width + f];
-      gh[static_cast<std::size_t>(b) * 2] += g[r];
-      gh[static_cast<std::size_t>(b) * 2 + 1] += h[r];
-      ++counts[b];
+  // Every feature's histogram in one row-major pass: each row reads its
+  // `width` bins from one contiguous stretch of `binned`. Each bin adds its
+  // rows in range order; the fitted bits depend on that order.
+  const std::size_t width = ws.x.cols();
+  const std::size_t* const offset = ws.hist_offset.data();
+  Workspace::HistBin* const hist = ws.hist.data();
+  std::fill(ws.hist.begin(), ws.hist.end(), Workspace::HistBin{});
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::size_t r = rows[i];
+    const std::uint8_t* const brow = ws.binned.data() + r * width;
+    const double gr = g[r];
+    const double hr = h[r];
+    for (std::size_t f = 0; f < width; ++f) {
+      Workspace::HistBin& bin = hist[offset[f] + brow[f]];
+      bin.g += gr;
+      bin.h += hr;
+      ++bin.count;
     }
+  }
+
+  // Best split: scan each feature's bins left to right. The strict >
+  // keeps the first (feature, bin) that reaches the best gain.
+  const double parent_score = g_total * g_total / (h_total + params.lambda);
+  SplitChoice best;
+  for (std::size_t f = 0; f < width; ++f) {
+    const int nbins = ws.binner.bins(f);
+    const Workspace::HistBin* const fhist = hist + offset[f];
     double gl = 0.0;
     double hl = 0.0;
     int left_count = 0;
     for (int b = 0; b + 1 < nbins; ++b) {
-      gl += gh[static_cast<std::size_t>(b) * 2];
-      hl += gh[static_cast<std::size_t>(b) * 2 + 1];
-      left_count += counts[b];
-      const int right_count = static_cast<int>(rows.size()) - left_count;
+      gl += fhist[b].g;
+      hl += fhist[b].h;
+      left_count += fhist[b].count;
+      const int right_count = static_cast<int>(n) - left_count;
       if (left_count < params.min_samples_leaf ||
           right_count < params.min_samples_leaf) {
         continue;
@@ -157,59 +200,38 @@ int RegressionTree::build(const Matrix& x, std::span<const std::uint8_t> binned,
       const double hr = h_total - hl;
       const double gain = gl * gl / (hl + params.lambda) +
                           gr * gr / (hr + params.lambda) - parent_score;
-      if (gain > choice.gain) {
-        choice.feature = static_cast<int>(f);
-        choice.bin = b;
-        choice.gain = gain;
+      if (gain > best.gain) {
+        best.feature = static_cast<int>(f);
+        best.bin = b;
+        best.gain = gain;
       }
-    }
-    return choice;
-  };
-  const auto pick = [](SplitChoice a, SplitChoice b) {
-    return b.gain > a.gain ? b : a;
-  };
-  SplitChoice best;
-  if (rows.size() >= 2048 && width > 1) {
-    best = util::parallel_reduce(
-        width, SplitChoice{},
-        [&](std::size_t f) {
-          std::vector<double> gh(static_cast<std::size_t>(kMaxBins) * 2);
-          std::vector<int> counts(kMaxBins);
-          return best_for_feature(f, gh, counts);
-        },
-        pick);
-  } else {
-    std::vector<double> gh(static_cast<std::size_t>(kMaxBins) * 2);
-    std::vector<int> counts(kMaxBins);
-    for (std::size_t f = 0; f < width; ++f) {
-      best = pick(best, best_for_feature(f, gh, counts));
     }
   }
   if (best.feature < 0 || best.gain < params.min_gain) return node_index;
   split_gains_.emplace_back(best.feature, best.gain);
 
-  // Partition rows by the chosen bin boundary.
-  std::vector<std::size_t> left_rows;
-  std::vector<std::size_t> right_rows;
-  for (std::size_t r : rows) {
-    const int b = binned[r * width + static_cast<std::size_t>(best.feature)];
-    (b <= best.bin ? left_rows : right_rows).push_back(r);
-  }
-  rows.clear();
-  rows.shrink_to_fit();
-
-  // Record a real-valued threshold so prediction needs no binner: the
-  // midpoint is the bin's upper edge.
-  // upper_bound semantics: bin b spans (edge[b-1], edge[b]].
-  // Reconstruct the edge via a probe value search is overkill; store the
-  // max left-side feature value instead.
+  // Stable in-place partition by the chosen bin boundary: left rows move
+  // forward in order, right rows wait in the spill buffer and follow them.
+  // Record a real-valued threshold on the way so prediction needs no
+  // binner: the max left-side feature value (bin b spans
+  // (edge[b-1], edge[b]], so every right value is above it).
+  const auto feature = static_cast<std::size_t>(best.feature);
   float threshold = -std::numeric_limits<float>::infinity();
-  for (std::size_t r : left_rows) {
-    threshold = std::max(threshold, x.at(r, static_cast<std::size_t>(best.feature)));
+  std::size_t mid = begin;
+  std::size_t spilled = 0;
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::size_t r = rows[i];
+    if (ws.binned[r * width + feature] <= best.bin) {
+      threshold = std::max(threshold, ws.x.at(r, feature));
+      rows[mid++] = r;
+    } else {
+      ws.spill[spilled++] = r;
+    }
   }
+  std::copy_n(ws.spill.data(), spilled, rows + mid);
 
-  const int left = build(x, binned, binner, g, h, left_rows, params, depth + 1);
-  const int right = build(x, binned, binner, g, h, right_rows, params, depth + 1);
+  const int left = build(ws, begin, mid, depth + 1);
+  const int right = build(ws, mid, end, depth + 1);
   Node& node = nodes_[static_cast<std::size_t>(node_index)];
   node.feature = best.feature;
   node.threshold = threshold;

@@ -70,7 +70,8 @@ class RegressionTree {
     double weight = 0.0;   // leaf value
   };
 
-  /// Fits to gradients/hessians over the given row subset.
+  /// Fits to gradients/hessians over the given row subset; every gradient
+  /// sum adds its rows in the order given.
   /// `binned` is bin_matrix() output for the full matrix `x`.
   void fit(const Matrix& x, std::span<const std::uint8_t> binned,
            const FeatureBinner& binner, std::span<const double> gradients,
@@ -98,10 +99,12 @@ class RegressionTree {
   const std::vector<Node>& nodes() const noexcept { return nodes_; }
 
  private:
-  int build(const Matrix& x, std::span<const std::uint8_t> binned,
-            const FeatureBinner& binner, std::span<const double> g,
-            std::span<const double> h, std::vector<std::size_t>& rows,
-            const TreeParams& params, int depth);
+  /// Buffers one fit() allocates once and every node reuses (tree.cpp).
+  struct Workspace;
+
+  /// Grows the subtree over ws.rows[begin, end) in preorder and returns its
+  /// root's node index; partitions that range in place.
+  int build(Workspace& ws, std::size_t begin, std::size_t end, int depth);
 
   std::vector<Node> nodes_;
   std::vector<std::pair<int, double>> split_gains_;

@@ -5,11 +5,8 @@
 // Determinism contract:
 //  * parallel_for invokes body(i) exactly once per index and requires
 //    disjoint writes per index, so outputs are bit-identical for any
-//    thread count (including SMART_THREADS=1).
-//  * parallel_reduce decomposes [0, n) into a block grid that depends only
-//    on n — never on the thread count — computes each block sequentially
-//    and combines partials in block order, so its result is also
-//    independent of the thread count.
+//    thread count (including SMART_THREADS=1). A sum across indices is
+//    folded by the caller, serially and in index order, after the loop.
 //  * Randomized parallel work must derive one generator per index via
 //    util::Rng::split (rng.hpp) instead of sharing a sequential stream.
 //
@@ -41,7 +38,9 @@ namespace smart::util {
 /// RAII guard: while any SerialSection is alive on a thread, every parallel
 /// loop issued from that thread runs inline on it. This is how the
 /// determinism tests (and scripts/check.sh) obtain a 1-thread run without
-/// restarting the process with SMART_THREADS=1.
+/// restarting the process with SMART_THREADS=1, and how the concurrent
+/// model fits of StencilMart::fit_models keep their short inner loops off
+/// the pool.
 class SerialSection {
  public:
   SerialSection() noexcept { ++depth_; }
@@ -92,40 +91,8 @@ class TaskPool {
     run_chunked(n, range);
   }
 
-  /// Deterministic reduction: folds combine(acc, map(i)) over a block grid
-  /// fixed by n alone, then folds the per-block partials in block order.
-  /// Requires combine(identity, x) == x. The result is identical for any
-  /// thread count (though the FP rounding may differ from a single
-  /// left-to-right fold — it matches the fixed block decomposition).
-  template <typename T, typename Map, typename Combine>
-  T reduce(std::size_t n, T identity, Map&& map, Combine&& combine) {
-    if (n == 0) return identity;
-    const std::size_t blocks = reduce_blocks(n);
-    std::vector<T> partials(blocks, identity);
-    for_each(blocks, [&](std::size_t b) {
-      const std::size_t begin = b * n / blocks;
-      const std::size_t end = (b + 1) * n / blocks;
-      T acc = std::move(partials[b]);
-      for (std::size_t i = begin; i < end; ++i) {
-        acc = combine(std::move(acc), map(i));
-      }
-      partials[b] = std::move(acc);
-    });
-    T out = std::move(partials[0]);
-    for (std::size_t b = 1; b < blocks; ++b) {
-      out = combine(std::move(out), std::move(partials[b]));
-    }
-    return out;
-  }
-
-  /// Block count reduce() uses for n items — a function of n only.
-  static std::size_t reduce_blocks(std::size_t n) noexcept {
-    return n < kReduceBlocks ? n : kReduceBlocks;
-  }
-
  private:
   struct Task;
-  static constexpr std::size_t kReduceBlocks = 64;
 
   void run_chunked(std::size_t n,
                    const std::function<void(std::size_t, std::size_t)>& range);
@@ -146,12 +113,6 @@ inline int parallel_threads() { return TaskPool::global().num_threads(); }
 template <typename Body>
 void parallel_for(std::size_t n, Body&& body) {
   TaskPool::global().for_each(n, std::forward<Body>(body));
-}
-
-template <typename T, typename Map, typename Combine>
-T parallel_reduce(std::size_t n, T identity, Map&& map, Combine&& combine) {
-  return TaskPool::global().reduce(n, identity, std::forward<Map>(map),
-                                   std::forward<Combine>(combine));
 }
 
 }  // namespace smart::util

@@ -38,8 +38,12 @@ TEST_P(ParamSpaceProperty, RandomSettingsAreValid) {
       EXPECT_EQ(s.merge_factor, 1);
       EXPECT_EQ(s.merge_dim, -1);
     }
-    if (!oc.tb) EXPECT_EQ(s.tb_depth, 1);
-    if (oc.st && (oc.bm || oc.cm)) EXPECT_NE(s.merge_dim, s.stream_dim);
+    if (!oc.tb) {
+      EXPECT_EQ(s.tb_depth, 1);
+    }
+    if (oc.st && (oc.bm || oc.cm)) {
+      EXPECT_NE(s.merge_dim, s.stream_dim);
+    }
   }
 }
 

@@ -5,8 +5,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "tree_bits.hpp"
 #include "util/rng.hpp"
 
 namespace smart::ml {
@@ -164,6 +167,192 @@ TEST(RegressionTree, EmptyTreePredictsZero) {
   const std::vector<float> features{1.0f};
   EXPECT_DOUBLE_EQ(tree.predict_row(features), 0.0);
 }
+
+// The column-wise builder RegressionTree::build used before the row-major
+// histogram pass: one histogram pass per feature, two fresh row vectors
+// per split. Fitted trees must equal it bit for bit.
+class ColumnWiseReference {
+ public:
+  ColumnWiseReference(const Matrix& x, std::span<const std::uint8_t> binned,
+                      const FeatureBinner& binner, std::span<const double> g,
+                      std::span<const double> h, const TreeParams& params)
+      : x_(x), binned_(binned), binner_(binner), g_(g), h_(h),
+        params_(params) {}
+
+  void fit(std::span<const std::size_t> rows) {
+    std::vector<std::size_t> mutable_rows(rows.begin(), rows.end());
+    build(mutable_rows, 0);
+  }
+
+  std::vector<RegressionTree::Node> nodes;
+  std::vector<std::pair<int, double>> gains;
+  int depth = 0;
+
+ private:
+  struct Choice {
+    int feature = -1;
+    int bin = -1;
+    double gain = 0.0;
+  };
+
+  int build(std::vector<std::size_t>& rows, int level) {
+    depth = std::max(depth, level);
+    double g_total = 0.0;
+    double h_total = 0.0;
+    for (std::size_t r : rows) {
+      g_total += g_[r];
+      h_total += h_[r];
+    }
+    const int node_index = static_cast<int>(nodes.size());
+    nodes.emplace_back();
+    nodes.back().weight = -g_total / (h_total + params_.lambda);
+    if (level >= params_.max_depth ||
+        static_cast<int>(rows.size()) < 2 * params_.min_samples_leaf) {
+      return node_index;
+    }
+    const double parent_score = g_total * g_total / (h_total + params_.lambda);
+    const std::size_t width = x_.cols();
+    Choice best;
+    std::vector<double> gh(static_cast<std::size_t>(kMaxBins) * 2);
+    std::vector<int> counts(kMaxBins);
+    for (std::size_t f = 0; f < width; ++f) {
+      Choice choice;
+      const int nbins = binner_.bins(f);
+      if (nbins >= 2) {
+        std::fill(gh.begin(), gh.end(), 0.0);
+        std::fill(counts.begin(), counts.end(), 0);
+        for (std::size_t r : rows) {
+          const int b = binned_[r * width + f];
+          gh[static_cast<std::size_t>(b) * 2] += g_[r];
+          gh[static_cast<std::size_t>(b) * 2 + 1] += h_[r];
+          ++counts[b];
+        }
+        double gl = 0.0;
+        double hl = 0.0;
+        int left_count = 0;
+        for (int b = 0; b + 1 < nbins; ++b) {
+          gl += gh[static_cast<std::size_t>(b) * 2];
+          hl += gh[static_cast<std::size_t>(b) * 2 + 1];
+          left_count += counts[b];
+          const int right_count = static_cast<int>(rows.size()) - left_count;
+          if (left_count < params_.min_samples_leaf ||
+              right_count < params_.min_samples_leaf) {
+            continue;
+          }
+          const double gr = g_total - gl;
+          const double hr = h_total - hl;
+          const double gain = gl * gl / (hl + params_.lambda) +
+                              gr * gr / (hr + params_.lambda) - parent_score;
+          if (gain > choice.gain) choice = {static_cast<int>(f), b, gain};
+        }
+      }
+      if (choice.gain > best.gain) best = choice;
+    }
+    if (best.feature < 0 || best.gain < params_.min_gain) return node_index;
+    gains.emplace_back(best.feature, best.gain);
+
+    const auto feature = static_cast<std::size_t>(best.feature);
+    std::vector<std::size_t> left_rows;
+    std::vector<std::size_t> right_rows;
+    for (std::size_t r : rows) {
+      (binned_[r * width + feature] <= best.bin ? left_rows : right_rows)
+          .push_back(r);
+    }
+    float threshold = -std::numeric_limits<float>::infinity();
+    for (std::size_t r : left_rows) {
+      threshold = std::max(threshold, x_.at(r, feature));
+    }
+    const int left = build(left_rows, level + 1);
+    const int right = build(right_rows, level + 1);
+    RegressionTree::Node& node = nodes[static_cast<std::size_t>(node_index)];
+    node.feature = best.feature;
+    node.threshold = threshold;
+    node.left = left;
+    node.right = right;
+    return node_index;
+  }
+
+  const Matrix& x_;
+  std::span<const std::uint8_t> binned_;
+  const FeatureBinner& binner_;
+  std::span<const double> g_;
+  std::span<const double> h_;
+  const TreeParams& params_;
+};
+
+/// Columns of five kinds, cycling with the column index: continuous,
+/// heavily tied (4 values), constant (one bin), periodic with signed zeros,
+/// and an exact copy of column 0 (its gains tie column 0's split for split,
+/// so the lowest feature index must win).
+Matrix mixed_columns(std::size_t rows, std::size_t width, util::Rng& rng) {
+  Matrix x(rows, width);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t f = 0; f < width; ++f) {
+      float v = 0.0f;
+      switch (f % 5) {
+        case 0: v = static_cast<float>(rng.uniform(-3.0, 3.0)); break;
+        case 1: v = static_cast<float>(rng.uniform_int(0, 3)); break;
+        case 2: v = 2.5f; break;
+        case 3: v = (r % 3 == 0 ? -0.0f : static_cast<float>(r % 4)); break;
+        default: v = x.at(r, 0); break;
+      }
+      x.at(r, f) = v;
+    }
+  }
+  return x;
+}
+
+class TreeReferenceEquivalence : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(TreeReferenceEquivalence, FitMatchesColumnWiseBuilderBitwise) {
+  const std::size_t num_rows = GetParam();
+  util::Rng rng(1000 + num_rows);
+  int deepest = 0;  // the comparison must cover deep trees, not just stumps
+  for (const std::size_t width : {1u, 11u, 40u}) {
+    // A proper superset of the fitted rows, so the subset is sparse in x.
+    const std::size_t total = num_rows + num_rows / 4 + 3;
+    const Matrix x = mixed_columns(total, width, rng);
+    std::vector<double> g(total);
+    std::vector<double> h(total);
+    for (std::size_t r = 0; r < total; ++r) {
+      g[r] = rng.uniform(-1.0, 1.0);
+      const double p = rng.uniform(0.0, 1.0);
+      h[r] = std::max(1e-6, p * (1.0 - p));
+    }
+    FeatureBinner binner;
+    binner.fit(x);
+    const std::vector<std::uint8_t> binned = binner.bin_matrix(x);
+    for (const int max_depth : {0, 1, 5, 8}) {
+      for (const int min_leaf : {1, 4}) {
+        // A random subset in random order: every bin must sum its rows in
+        // this order, exactly as the reference does.
+        const std::vector<std::size_t> rows =
+            rng.sample_without_replacement(total, num_rows);
+        TreeParams params;
+        params.max_depth = max_depth;
+        params.min_samples_leaf = min_leaf;
+        ColumnWiseReference want(x, binned, binner, g, h, params);
+        want.fit(rows);
+        RegressionTree got;
+        got.fit(x, binned, binner, g, h, rows, params);
+        EXPECT_TRUE(same_tree_bits(got, want.nodes, want.gains, want.depth))
+            << "rows=" << num_rows << " width=" << width
+            << " max_depth=" << max_depth << " min_samples_leaf=" << min_leaf;
+        deepest = std::max(deepest, want.depth);
+      }
+    }
+  }
+  if (num_rows >= 500) {
+    EXPECT_EQ(deepest, 8);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rows, TreeReferenceEquivalence,
+    ::testing::Values(1u, 7u, 8u, 9u, 500u, 2047u, 2048u, 5000u),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return "rows" + std::to_string(info.param);
+    });
 
 }  // namespace
 }  // namespace smart::ml

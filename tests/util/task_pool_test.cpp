@@ -178,49 +178,6 @@ TEST(TaskPool, OneThreadAndEightThreadsBitIdentical) {
   }
 }
 
-TEST(TaskPool, ReduceEmptyReturnsIdentity) {
-  TaskPool pool(4);
-  const double out = pool.reduce(
-      0, -7.5, [](std::size_t) { return 1.0; },
-      [](double a, double b) { return a + b; });
-  EXPECT_DOUBLE_EQ(out, -7.5);
-}
-
-TEST(TaskPool, ReduceSumMatchesClosedForm) {
-  TaskPool pool(4);
-  const long long n = 100000;
-  const long long out = pool.reduce(
-      static_cast<std::size_t>(n), 0LL,
-      [](std::size_t i) { return static_cast<long long>(i); },
-      [](long long a, long long b) { return a + b; });
-  EXPECT_EQ(out, n * (n - 1) / 2);
-}
-
-TEST(TaskPool, ReduceBitIdenticalAcrossThreadCounts) {
-  // The block grid depends on n only, so even non-associative FP rounding
-  // folds identically for every pool size.
-  const auto run = [](TaskPool& pool) {
-    return pool.reduce(
-        10000, 0.0,
-        [](std::size_t i) { return std::sin(static_cast<double>(i)) * 0.001; },
-        [](double a, double b) { return a + b; });
-  };
-  TaskPool one(1);
-  TaskPool five(5);
-  TaskPool eight(8);
-  const double a = run(one);
-  EXPECT_EQ(a, run(five));
-  EXPECT_EQ(a, run(eight));
-}
-
-TEST(TaskPool, ReduceBlocksDependOnNOnly) {
-  EXPECT_EQ(TaskPool::reduce_blocks(0), 0u);
-  EXPECT_EQ(TaskPool::reduce_blocks(1), 1u);
-  EXPECT_EQ(TaskPool::reduce_blocks(63), 63u);
-  EXPECT_EQ(TaskPool::reduce_blocks(64), 64u);
-  EXPECT_EQ(TaskPool::reduce_blocks(1 << 20), 64u);
-}
-
 TEST(TaskPool, SerialSectionForcesInlineExecution) {
   TaskPool pool(8);
   EXPECT_FALSE(SerialSection::active());
@@ -268,15 +225,11 @@ TEST(TaskPool, SmartThreadsOneEquivalentToDefault) {
     pool.for_each(out.size(), [&](std::size_t i) {
       out[i] = std::cos(static_cast<double>(i) * 0.01);
     });
-    double digest = pool.reduce(
-        out.size(), 0.0, [&](std::size_t i) { return out[i]; },
-        [](double a, double b) { return a + b; });
-    return std::pair(out, digest);
+    return out;
   };
   const auto one = run(1);
   const auto dflt = run(0);  // env unset -> hardware concurrency
-  EXPECT_EQ(one.first, dflt.first);
-  EXPECT_EQ(one.second, dflt.second);
+  EXPECT_EQ(one, dflt);
 }
 
 TEST(Parallel, GlobalFrontendsDelegateToGlobalPool) {
@@ -284,10 +237,6 @@ TEST(Parallel, GlobalFrontendsDelegateToGlobalPool) {
   std::vector<int> hits(512, 0);
   parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
   for (int h : hits) EXPECT_EQ(h, 1);
-  const long long sum = parallel_reduce(
-      512, 0LL, [](std::size_t i) { return static_cast<long long>(i); },
-      [](long long a, long long b) { return a + b; });
-  EXPECT_EQ(sum, 512LL * 511 / 2);
 }
 
 }  // namespace
