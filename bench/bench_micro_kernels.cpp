@@ -1,10 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the library:
 // CPU reference executors, the analytic cost model, random-search tuning,
-// stencil representation, model inference and GBDT fitting.
+// stencil representation, model inference, GBDT fitting and the model
+// artifact codec.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 
+#include "core/serialize.hpp"
 #include "core/stencilmart.hpp"
 #include "ml/gbdt.hpp"
 #include "ml/models.hpp"
@@ -212,6 +216,49 @@ void BM_ConvNetForward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 32);
 }
 BENCHMARK(BM_ConvNetForward);
+
+/// A mart trained like `smartctl train` on the golden 2-D corpus (500
+/// stencils, 4 samples per OC): its artifact is the ~2.6 MB one a serve
+/// daemon loads at start and on every reload.
+const core::StencilMart& golden_mart() {
+  static const core::StencilMart mart = [] {
+    core::ProfileConfig cfg;
+    cfg.dims = 2;
+    cfg.num_stencils = 500;
+    cfg.samples_per_oc = 4;
+    cfg.seed = 20220530;
+    core::StencilMart m(core::MartConfig{});
+    m.train(core::build_profile_dataset(cfg));
+    return m;
+  }();
+  return mart;
+}
+
+// Formatting the whole artifact (the two per-build saves of `train`).
+void BM_ModelSave(benchmark::State& state) {
+  const core::StencilMart& mart = golden_mart();
+  for (auto _ : state) {
+    std::ostringstream out;
+    core::save_model(mart, out);
+    benchmark::DoNotOptimize(out.tellp());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ModelSave)->Unit(benchmark::kMillisecond);
+
+// Envelope check, checksum and payload parse of an in-memory artifact (the
+// load behind every serve start, reload and `advise --model`).
+void BM_ModelLoad(benchmark::State& state) {
+  std::ostringstream out;
+  core::save_model(golden_mart(), out);
+  const std::string artifact = out.str();
+  for (auto _ : state) {
+    std::istringstream in(artifact);
+    const core::StencilMart loaded = core::load_model(in);
+    benchmark::DoNotOptimize(&loaded);
+  }
+}
+BENCHMARK(BM_ModelLoad)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -720,15 +720,17 @@ int cmd_serve(const CommandLine& cmd, std::ostream& out) {
   // The provider re-validates the artifact through the strict load_model
   // reader on every (re)load; the daemon starts by loading through the same
   // path, so the banner and the reload verb can never disagree about what a
-  // "valid artifact" is.
+  // "valid artifact" is. Version and checksum come from the same single
+  // read as the model, so they describe the model that serves even when a
+  // hot swap renames a new artifact over the path mid-load.
   const std::string model_path = cmd.get("model", "");
   const core::ModelProvider provider = [model_path] {
     core::ModelSnapshot snapshot;
-    const core::ModelArtifactInfo info = core::inspect_model(model_path);
+    core::ModelArtifactInfo info;
     snapshot.mart = std::make_shared<const core::StencilMart>(
-        core::load_model(model_path));
-    snapshot.version = info.version;
-    snapshot.checksum = info.checksum;
+        core::load_model(model_path, info));
+    snapshot.version = std::move(info.version);
+    snapshot.checksum = std::move(info.checksum);
     return snapshot;
   };
   // SIGHUP is blocked before any daemon thread exists, so every thread

@@ -10,7 +10,6 @@
 //   // -> best-performance GPU and most cost-efficient rental
 #pragma once
 
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <span>
@@ -118,8 +117,7 @@ class StencilMart {
 
   // Model artifact (de)serialization (core/serialize) assembles/injects the
   // trained state directly.
-  friend void save_model(const StencilMart& mart, std::ostream& out);
-  friend StencilMart load_model(std::istream& in, const std::string& source);
+  friend class ModelCodec;
 
   /// Classification + tuning for one GPU, without the regression estimate
   /// (predicted_time_ms stays 0). advise() adds a single prediction;

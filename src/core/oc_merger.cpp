@@ -4,11 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <ostream>
 #include <set>
 #include <stdexcept>
 
-#include "util/serialize_io.hpp"
 #include "util/stats.hpp"
 
 namespace smart::core {
@@ -218,36 +216,37 @@ std::vector<int> OcMerger::members(int group) const {
   return out;
 }
 
-void OcMerger::save(std::ostream& out) const {
+void OcMerger::save(util::TokenWriter& out) const {
   out << "ocmerger " << num_groups_ << ' ' << group_.size();
   for (int g : group_) out << ' ' << g;
   for (int r : representatives_) out << ' ' << r;
   out << '\n';
 }
 
-OcMerger OcMerger::load(std::istream& in) {
-  util::expect_word(in, "ocmerger", "OcMerger::load");
-  const int num_groups = util::read_int(in, "ocmerger group count");
-  const std::size_t num_ocs = util::read_size(in, "ocmerger oc count");
-  if (num_groups < 1) {
-    throw std::runtime_error("OcMerger::load: no groups");
+OcMerger OcMerger::load(util::TokenReader& in) {
+  in.expect("ocmerger", "OcMerger::load");
+  // Each group id and representative is a token and its separator.
+  const std::size_t num_groups = in.count("ocmerger group count", 2);
+  if (num_groups < 1 ||
+      num_groups > static_cast<std::size_t>(std::numeric_limits<int>::max())) {
+    in.fail("OcMerger::load: group count out of range");
   }
+  const std::size_t num_ocs = in.count("ocmerger oc count", 2);
   OcMerger merger;
-  merger.num_groups_ = num_groups;
+  merger.num_groups_ = static_cast<int>(num_groups);
   merger.group_.resize(num_ocs);
   for (int& g : merger.group_) {
-    g = util::read_int(in, "ocmerger group id");
-    if (g < 0 || g >= num_groups) {
-      throw std::runtime_error("OcMerger::load: group id out of range");
+    g = in.i32("ocmerger group id");
+    if (g < 0 || g >= merger.num_groups_) {
+      in.fail("OcMerger::load: group id out of range");
     }
   }
-  merger.representatives_.resize(static_cast<std::size_t>(num_groups));
-  for (int gid = 0; gid < num_groups; ++gid) {
-    const int rep = util::read_int(in, "ocmerger representative");
+  merger.representatives_.resize(num_groups);
+  for (int gid = 0; gid < merger.num_groups_; ++gid) {
+    const int rep = in.i32("ocmerger representative");
     if (rep < 0 || static_cast<std::size_t>(rep) >= num_ocs ||
         merger.group_[static_cast<std::size_t>(rep)] != gid) {
-      throw std::runtime_error(
-          "OcMerger::load: representative not a member of its group");
+      in.fail("OcMerger::load: representative not a member of its group");
     }
     merger.representatives_[static_cast<std::size_t>(gid)] = rep;
   }

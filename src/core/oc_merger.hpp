@@ -10,11 +10,11 @@
 // that is best for the most (stencil, GPU) cases (paper Fig. 2).
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "core/profile_dataset.hpp"
+#include "util/serialize_io.hpp"
 
 namespace smart::core {
 
@@ -62,8 +62,8 @@ class OcMerger {
   /// diagnostics (top_pccs_per_gpu, intersection_fraction) are fit-time
   /// analysis, not needed to classify, and are not persisted. Throws
   /// std::runtime_error on malformed or inconsistent input.
-  void save(std::ostream& out) const;
-  static OcMerger load(std::istream& in);
+  void save(util::TokenWriter& out) const;
+  static OcMerger load(util::TokenReader& in);
 
  private:
   int num_groups_ = 0;

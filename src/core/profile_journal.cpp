@@ -4,9 +4,9 @@
 #include <cmath>
 #include <filesystem>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
+#include "util/atomic_file.hpp"
 #include "util/serialize_io.hpp"
 #include "util/timing.hpp"
 
@@ -22,16 +22,16 @@ constexpr const char* kJournalMagic = "stencilmart-journal-v1";
 std::string config_line(const ProfileConfig& config,
                         const ProfileRunOptions& opts,
                         const std::string& fault_spec) {
-  std::ostringstream out;
+  util::TokenWriter out;
   out << "config " << config.dims << ' ' << config.max_order << ' '
       << config.num_stencils << ' ' << config.samples_per_oc << ' '
       << config.seed << ' ';
-  util::write_f64(out, config.sim.noise_sigma);
+  out.hexfloat(config.sim.noise_sigma);
   out << ' ' << config.sim.seed << ' ' << (config.vary_problem_size ? 1 : 0)
       << ' ' << (config.vary_boundary ? 1 : 0) << ' ' << opts.retries << ' '
-      << (fault_spec.empty() ? "-" : fault_spec) << ' ' << opts.shard.index
-      << '/' << opts.shard.count;
-  return out.str();
+      << (fault_spec.empty() ? std::string_view("-") : fault_spec) << ' '
+      << opts.shard.index << '/' << opts.shard.count;
+  return std::string(out.view());
 }
 
 [[noreturn]] void corrupt(const std::string& path, std::size_t line_no,
@@ -66,20 +66,15 @@ JournalReplay ProfileJournal::resume(const std::string& path,
                                      std::size_t num_ocs,
                                      std::size_t num_gpus) {
   JournalReplay replay;
-  std::string text;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      // Nothing to resume: behave like a fresh run so `--resume` is safe to
-      // pass unconditionally (the check.sh resume-until-done loop relies on
-      // this).
-      start(path, config, opts, fault_spec);
-      return replay;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    text = buffer.str();
+  std::error_code missing;
+  if (!std::filesystem::exists(path, missing)) {
+    // Nothing to resume: behave like a fresh run so `--resume` is safe to
+    // pass unconditionally (the check.sh resume-until-done loop relies on
+    // this).
+    start(path, config, opts, fault_spec);
+    return replay;
   }
+  const std::string text = util::read_file(path);
 
   // A kill mid-append leaves exactly one casualty: a final line without its
   // newline. Parse only up to the last '\n'; everything past it is the
@@ -87,34 +82,45 @@ JournalReplay ProfileJournal::resume(const std::string& path,
   const std::size_t valid_end = text.rfind('\n') + 1;  // npos+1 == 0
   const auto replay_start = std::chrono::steady_clock::now();
 
-  std::istringstream lines(text.substr(0, valid_end));
-  std::string line;
+  std::string_view lines = std::string_view(text).substr(0, valid_end);
   std::size_t line_no = 0;
+  // The next line without its '\n'; false once the valid prefix is used up.
+  const auto next_line = [&lines, &line_no](std::string_view& line) {
+    if (lines.empty()) return false;
+    const std::size_t eol = lines.find('\n');
+    line = lines.substr(0, eol);
+    lines.remove_prefix(eol + 1);
+    ++line_no;
+    return true;
+  };
+  std::string_view line;
 
-  if (!std::getline(lines, line)) corrupt(path, 1, "missing magic line");
-  ++line_no;
-  if (line != kJournalMagic) corrupt(path, 1, "bad magic '" + line + "'");
-  if (!std::getline(lines, line)) corrupt(path, 2, "missing config line");
-  ++line_no;
+  if (!next_line(line)) corrupt(path, 1, "missing magic line");
+  if (line != kJournalMagic) {
+    corrupt(path, 1, "bad magic '" + std::string(line) + "'");
+  }
+  if (!next_line(line)) corrupt(path, 2, "missing config line");
   const std::string want = config_line(config, opts, fault_spec);
   if (line != want) {
     throw std::runtime_error(
         "profile journal " + path +
         " was written by a different profiling run (config/retries/fault "
         "spec mismatch)\n  journal: " +
-        line + "\n  this run: " + want);
+        std::string(line) + "\n  this run: " + want);
   }
 
-  while (std::getline(lines, line)) {
-    ++line_no;
+  while (next_line(line)) {
     if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
+    util::TokenReader ls(line);
+    const std::string_view tag = ls.next();
     std::size_t s = 0;
     std::size_t oc = 0;
     std::size_t g = 0;
-    if (!(ls >> s >> oc >> g)) corrupt(path, line_no, "bad unit indices");
+    if (!(util::parse_number(ls.next(), s) &&
+          util::parse_number(ls.next(), oc) &&
+          util::parse_number(ls.next(), g))) {
+      corrupt(path, line_no, "bad unit indices");
+    }
     if (oc >= num_ocs || g >= num_gpus ||
         s >= static_cast<std::size_t>(config.num_stencils)) {
       corrupt(path, line_no, "unit index out of range");
@@ -122,30 +128,32 @@ JournalReplay ProfileJournal::resume(const std::string& path,
     const std::uint64_t key = unit_key(s, oc, g, num_ocs, num_gpus);
     if (tag == "unit") {
       std::size_t n = 0;
-      if (!(ls >> n) || n > 4096) corrupt(path, line_no, "bad time count");
+      if (!util::parse_number(ls.next(), n) || n > 4096) {
+        corrupt(path, line_no, "bad time count");
+      }
       std::vector<double> times;
       times.reserve(n);
       for (std::size_t k = 0; k < n; ++k) {
-        std::string token;
-        if (!(ls >> token)) corrupt(path, line_no, "truncated time list");
+        const std::string_view token = ls.next();
+        if (token.empty()) corrupt(path, line_no, "truncated time list");
         if (token == "crash") {
           times.push_back(std::numeric_limits<double>::quiet_NaN());
         } else {
           double t = 0.0;
           if (!util::parse_f64_strict(token, t) || !std::isfinite(t) ||
               t <= 0.0) {
-            corrupt(path, line_no, "unparsable time field '" + token + "'");
+            corrupt(path, line_no,
+                    "unparsable time field '" + std::string(token) + "'");
           }
           times.push_back(t);
         }
       }
-      std::string extra;
-      if (ls >> extra) corrupt(path, line_no, "trailing tokens");
+      if (!ls.at_end()) corrupt(path, line_no, "trailing tokens");
       replay.units[key] = std::move(times);
     } else if (tag == "retry") {
       int attempt = 0;
-      std::string kind;
-      if (!(ls >> attempt >> kind) || attempt < 0) {
+      if (!util::parse_number(ls.next(), attempt) || ls.next().empty() ||
+          attempt < 0) {
         corrupt(path, line_no, "bad retry record");
       }
       int& next = replay.attempts[key];
@@ -155,13 +163,13 @@ JournalReplay ProfileJournal::resume(const std::string& path,
       record.stencil = s;
       record.oc = oc;
       record.gpu = g;
-      std::getline(ls, record.reason);
-      if (!record.reason.empty() && record.reason.front() == ' ') {
-        record.reason.erase(0, 1);
-      }
+      // The reason is free text: the rest of the line after one separator.
+      std::string_view reason = ls.rest();
+      if (!reason.empty() && reason.front() == ' ') reason.remove_prefix(1);
+      record.reason = reason;
       replay.quarantined.push_back(std::move(record));
     } else {
-      corrupt(path, line_no, "unknown tag '" + tag + "'");
+      corrupt(path, line_no, "unknown tag '" + std::string(tag) + "'");
     }
     ++replay.replayed_lines;
   }
@@ -189,7 +197,7 @@ JournalReplay ProfileJournal::resume(const std::string& path,
   return replay;
 }
 
-void ProfileJournal::append(const std::string& line) {
+void ProfileJournal::append(std::string_view line) {
   const auto start = std::chrono::steady_clock::now();
   bool ok = true;
   {
@@ -207,32 +215,32 @@ void ProfileJournal::append(const std::string& line) {
 
 void ProfileJournal::record_unit(std::size_t s, std::size_t oc, std::size_t g,
                                  const std::vector<double>& times) {
-  std::ostringstream line;
+  util::TokenWriter line;
   line << "unit " << s << ' ' << oc << ' ' << g << ' ' << times.size();
   for (const double t : times) {
     line << ' ';
     if (std::isnan(t)) {
       line << "crash";
     } else {
-      util::write_f64(line, t);
+      line.hexfloat(t);
     }
   }
-  append(line.str());
+  append(line.view());
 }
 
 void ProfileJournal::record_retry(std::size_t s, std::size_t oc, std::size_t g,
                                   int attempt, const char* kind) {
-  std::ostringstream line;
+  util::TokenWriter line;
   line << "retry " << s << ' ' << oc << ' ' << g << ' ' << attempt << ' '
        << kind;
-  append(line.str());
+  append(line.view());
 }
 
 void ProfileJournal::record_quarantine(const QuarantineRecord& record) {
-  std::ostringstream line;
+  util::TokenWriter line;
   line << "quar " << record.stencil << ' ' << record.oc << ' ' << record.gpu
        << ' ' << record.reason;
-  append(line.str());
+  append(line.view());
 }
 
 void ProfileJournal::close() {

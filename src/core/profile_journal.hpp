@@ -86,7 +86,7 @@ class ProfileJournal {
   void close();
 
  private:
-  void append(const std::string& line);
+  void append(std::string_view line);
 
   std::ofstream out_;
   std::mutex mu_;

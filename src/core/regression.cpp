@@ -9,7 +9,6 @@
 #include "ml/dataset.hpp"
 #include "stencil/features.hpp"
 #include "stencil/tensor_repr.hpp"
-#include "util/serialize_io.hpp"
 #include "util/stats.hpp"
 #include "util/task_pool.hpp"
 #include "util/timing.hpp"
@@ -347,7 +346,7 @@ void RegressionTask::fit_full(RegressorKind kind) {
   fitted_ = true;
 }
 
-void RegressionTask::save_fitted(std::ostream& out) const {
+void RegressionTask::save_fitted(util::TokenWriter& out) const {
   if (!fitted_) {
     throw std::logic_error("RegressionTask::save_fitted before fit_full");
   }
@@ -362,10 +361,10 @@ void RegressionTask::save_fitted(std::ostream& out) const {
   }
 }
 
-void RegressionTask::load_fitted(std::istream& in) {
-  util::expect_word(in, "fitted", "RegressionTask::load_fitted");
+void RegressionTask::load_fitted(util::TokenReader& in) {
+  in.expect("fitted", "RegressionTask::load_fitted");
   const RegressorKind kind =
-      regressor_kind_from_string(util::read_token(in, "regressor kind"));
+      regressor_kind_from_string(std::string(in.token("regressor kind")));
   ml::MaxAbsScaler scaler = ml::MaxAbsScaler::load(in);
   // The NN kinds scale their inputs, so the scaler width is the model's
   // feature width — compare it against this dataset's encoding. (GBR
@@ -373,7 +372,7 @@ void RegressionTask::load_fitted(std::istream& in) {
   if (!scaler.scales().empty()) {
     const bool include_sf = kind != RegressorKind::kConvMlp;
     if (scaler.scales().size() != cache_.aux_dim(include_sf)) {
-      throw std::runtime_error(
+      in.fail(
           "RegressionTask::load_fitted: feature width mismatch — the model "
           "was trained under a different dims/max_order geometry");
     }
@@ -382,7 +381,8 @@ void RegressionTask::load_fitted(std::istream& in) {
   mlp_.reset();
   convmlp_.reset();
   if (kind == RegressorKind::kGbr) {
-    gbr_ = std::make_unique<ml::GbdtRegressor>(ml::GbdtRegressor::load(in));
+    gbr_ = std::make_unique<ml::GbdtRegressor>(
+        ml::GbdtRegressor::load(in, cache_.aux_dim(true)));
   } else if (kind == RegressorKind::kMlp) {
     mlp_ = std::make_unique<ml::NnRegressor>(ml::NnRegressor::load(in));
   } else {

@@ -140,14 +140,15 @@ class RegressionTask {
 
   /// Persists the fitted state (regressor kind, aux scaler, model weights).
   /// Requires fit_full(); the loaded task predicts bit-identically.
-  void save_fitted(std::ostream& out) const;
+  void save_fitted(util::TokenWriter& out) const;
   /// Injects fitted state written by save_fitted() into this task. The task
   /// may be built over any dataset sharing the training corpus's dims,
   /// max_order and GPU table — including a zero-stencil serving dataset —
   /// since variant prediction only reads OC flags, GPU features and the
   /// config geometry. Throws std::runtime_error when the model's feature
-  /// width disagrees with this dataset's encoding (dims/max_order mismatch).
-  void load_fitted(std::istream& in);
+  /// width disagrees with this dataset's encoding (dims/max_order mismatch),
+  /// including a GBR split on a feature past the encoded row.
+  void load_fitted(util::TokenReader& in);
 
  private:
   ml::Matrix build_aux_features(const std::vector<RegressionInstance>& rows,

@@ -9,10 +9,8 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
-#include <type_traits>
 
 #include "util/atomic_file.hpp"
 #include "util/serialize_io.hpp"
@@ -37,90 +35,24 @@ std::string checksum_hex(std::string_view bytes) {
 /// direction holds a whole corpus in memory.
 constexpr std::size_t kChunkBytes = 64 * 1024;
 
-/// Formats corpus records into one reused buffer that is handed to the
-/// stream whenever a record ends past kChunkBytes. Every spelling matches
-/// what `std::ostream` insertion produces for the same value.
-class CorpusWriter {
+/// Formats corpus records (util::TokenWriter) and hands the buffer to the
+/// stream whenever a record ends past kChunkBytes.
+class CorpusWriter : public util::TokenWriter {
  public:
-  explicit CorpusWriter(std::ostream& out)
-      : out_(out), buf_(2 * kChunkBytes) {}
-
-  CorpusWriter& operator<<(std::string_view text) {
-    std::memcpy(room(text.size()), text.data(), text.size());
-    used_ += text.size();
-    return *this;
-  }
-  CorpusWriter& operator<<(char c) {
-    *room(1) = c;
-    ++used_;
-    return *this;
-  }
-  template <typename Int>
-    requires std::is_integral_v<Int> && (!std::is_same_v<Int, char>) &&
-             (!std::is_same_v<Int, bool>)
-  CorpusWriter& operator<<(Int value) {
-    put_chars(value);
-    return *this;
-  }
-
-  /// As `out << std::setprecision(17) << v`, which is printf "%.17g".
-  void decimal17(double v) {
-    used_ += static_cast<std::size_t>(
-        std::snprintf(room(kNumberBytes), kNumberBytes, "%.17g", v));
-  }
-
-  /// As `out << std::hexfloat << v`, which is printf "%a". Normal values
-  /// and zeros take to_chars; the rest take printf itself, because newer
-  /// libstdc++ runtimes spell a subnormal normalized ("1p-1074" where
-  /// printf writes "0x0.0000000000001p-1022").
-  void hexfloat(double v) {
-    if (!std::isnormal(v) && v != 0.0) {
-      used_ += static_cast<std::size_t>(
-          std::snprintf(room(kNumberBytes), kNumberBytes, "%a", v));
-      return;
-    }
-    if (std::signbit(v)) {
-      *this << '-';
-      v = -v;
-    }
-    *this << "0x";
-    put_chars(v, std::chars_format::hex);
-  }
+  explicit CorpusWriter(std::ostream& out) : out_(out) {}
 
   void end_record() {
     *this << '\n';
-    if (used_ >= kChunkBytes) flush();
+    if (size() >= kChunkBytes) flush();
   }
 
   void flush() {
-    out_.write(buf_.data(), static_cast<std::streamsize>(used_));
-    used_ = 0;
+    out_.write(data(), static_cast<std::streamsize>(size()));
+    clear();
   }
 
  private:
-  /// Enough for any integer, "%.17g" or "%a" double, terminator included.
-  static constexpr std::size_t kNumberBytes = 32;
-
-  /// Returns `n` writable bytes at the end of the buffer, growing it only
-  /// for a record longer than the slack past one chunk.
-  char* room(std::size_t n) {
-    if (buf_.size() - used_ < n) {
-      buf_.resize(std::max(2 * buf_.size(), used_ + n));
-    }
-    return buf_.data() + used_;
-  }
-
-  template <typename T, typename... Format>
-  void put_chars(T value, Format... format) {
-    char* first = room(kNumberBytes);
-    const char* last =
-        std::to_chars(first, first + kNumberBytes, value, format...).ptr;
-    used_ += static_cast<std::size_t>(last - first);
-  }
-
   std::ostream& out_;
-  std::vector<char> buf_;
-  std::size_t used_ = 0;
 };
 
 /// Line source and parse-error context for the corpus reader. Lines are
@@ -195,24 +127,6 @@ class CorpusReader {
   std::size_t line_no_ = 0;
 };
 
-/// Whitespace as `std::istream >>` skips it in the "C" locale: ' ' and
-/// '\t' through '\r'. Every other byte is above ' ' or below '\t'.
-constexpr bool is_space(char c) noexcept {
-  return c == ' ' || (c >= '\t' && c <= '\r');
-}
-
-/// Splits the next whitespace-delimited token off the front of `rest`;
-/// empty once `rest` holds no more tokens.
-std::string_view next_token(std::string_view& rest) noexcept {
-  std::size_t first = 0;
-  while (first < rest.size() && is_space(rest[first])) ++first;
-  std::size_t last = first;
-  while (last < rest.size() && !is_space(rest[last])) ++last;
-  const std::string_view token = rest.substr(first, last - first);
-  rest.remove_prefix(last);
-  return token;
-}
-
 /// The N whitespace-delimited fields of `rest`; a line with fewer or more
 /// is an error that names `record`.
 template <std::size_t N>
@@ -222,11 +136,11 @@ std::array<std::string_view, N> split_exact(const CorpusReader& r,
   std::array<std::string_view, N> fields;
   std::size_t count = 0;
   for (; count < N; ++count) {
-    fields[count] = next_token(rest);
+    fields[count] = util::next_token(rest);
     if (fields[count].empty()) break;
   }
   if (count == N) {
-    while (!next_token(rest).empty()) ++count;
+    while (!util::next_token(rest).empty()) ++count;
   }
   if (count != N) {
     r.fail(std::string(record) + " has " + std::to_string(count) +
@@ -235,14 +149,7 @@ std::array<std::string_view, N> split_exact(const CorpusReader& r,
   return fields;
 }
 
-/// Whole-token std::from_chars parse: decimal only, no '+', no '-' for
-/// unsigned types, no out-of-range value, nothing after the number.
-template <typename Number>
-bool parse_number(std::string_view token, Number& out) noexcept {
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
-  return ec == std::errc{} && ptr == end;
-}
+using util::parse_number;
 
 bool parse_flag(std::string_view token, bool& out) noexcept {
   if (token != "0" && token != "1") return false;
@@ -430,7 +337,7 @@ ProfileDataset load_dataset(std::istream& in, const std::string& source) {
   while (r.next_line(line)) {
     if (line.empty()) continue;
     std::string_view rest = line;
-    const std::string_view tag = next_token(rest);
+    const std::string_view tag = util::next_token(rest);
     if (tag == "time") {
       if (!sized) size_tables();
       const auto f = split_exact<5>(r, rest, "time record");
@@ -496,9 +403,9 @@ ProfileDataset load_dataset(std::istream& in, const std::string& source) {
     } else if (tag == "quar") {
       if (!sized) size_tables();
       QuarantineRecord q;
-      r.expect(parse_number(next_token(rest), q.stencil) &&
-                   parse_number(next_token(rest), q.oc) &&
-                   parse_number(next_token(rest), q.gpu),
+      r.expect(parse_number(util::next_token(rest), q.stencil) &&
+                   parse_number(util::next_token(rest), q.oc) &&
+                   parse_number(util::next_token(rest), q.gpu),
                "unparsable quarantine record");
       r.expect(q.stencil < declared && q.gpu < num_gpus && q.oc < num_ocs,
                "quarantine index out of range");
@@ -552,39 +459,215 @@ ProfileDataset load_dataset(const std::string& path) {
 
 // ----- model artifacts -------------------------------------------------------
 
+/// Writes and reads the model payload sections; a friend of StencilMart, so
+/// it assembles and injects the trained state directly.
+class ModelCodec {
+ public:
+  static void write_payload(const StencilMart& mart, util::TokenWriter& out);
+  /// Parses the payload in place. A failure leaves in.offset() at the
+  /// offending token.
+  static StencilMart read_payload(util::TokenReader& in);
+};
+
+void ModelCodec::write_payload(const StencilMart& mart,
+                               util::TokenWriter& out) {
+  const MartConfig& c = mart.config_;
+  out << "config " << c.profile.dims << ' ' << c.profile.max_order << ' '
+      << c.profile.num_stencils << ' ' << c.profile.samples_per_oc << ' '
+      << c.profile.seed << ' ';
+  out.hexfloat(c.profile.sim.noise_sigma);
+  out << ' ' << c.profile.sim.seed << ' '
+      << (c.profile.vary_problem_size ? 1 : 0) << ' '
+      << (c.profile.vary_boundary ? 1 : 0) << '\n';
+  const RegressionConfig& r = c.regression;
+  out << "regconfig " << r.folds << ' ' << r.epochs << ' ' << r.batch_size
+      << ' ';
+  out.hexfloat(r.learning_rate);
+  out << ' ' << r.mlp_hidden_layers << ' ' << r.mlp_width << ' '
+      << r.instance_cap << ' ' << r.seed << '\n';
+  out << "regressor " << to_string(c.regressor) << ' ' << c.tuning_samples
+      << '\n';
+  mart.merger_.save(out);
+  out << "classifiers " << mart.classifiers_.size() << '\n';
+  for (const auto& clf : mart.classifiers_) clf.save(out);
+  mart.regression_->save_fitted(out);
+}
+
+StencilMart ModelCodec::read_payload(util::TokenReader& in) {
+  MartConfig config;
+  in.expect("config", "load_model config section");
+  config.profile.dims = in.i32("config dims");
+  if (config.profile.dims != 2 && config.profile.dims != 3) {
+    in.fail("load_model: config dims out of range");
+  }
+  config.profile.max_order = in.i32("config max_order");
+  // The corpus header's bound: the feature and tensor widths grow with it.
+  if (config.profile.max_order < 1 ||
+      config.profile.max_order > std::numeric_limits<std::int8_t>::max()) {
+    in.fail("load_model: config max_order out of range");
+  }
+  config.profile.num_stencils = in.i32("config num_stencils");
+  config.profile.samples_per_oc = in.i32("config samples_per_oc");
+  config.profile.seed = in.u64("config seed");
+  config.profile.sim.noise_sigma = in.f64("config noise_sigma");
+  config.profile.sim.seed = in.u64("config sim seed");
+  config.profile.vary_problem_size = in.i32("config vary_problem_size") != 0;
+  config.profile.vary_boundary = in.i32("config vary_boundary") != 0;
+  in.expect("regconfig", "load_model regression config");
+  RegressionConfig& r = config.regression;
+  r.folds = in.i32("regconfig folds");
+  r.epochs = in.i32("regconfig epochs");
+  r.batch_size = in.i32("regconfig batch_size");
+  r.learning_rate = in.f64("regconfig learning_rate");
+  r.mlp_hidden_layers = in.i32("regconfig mlp_hidden_layers");
+  r.mlp_width = in.size("regconfig mlp_width");
+  r.instance_cap = in.size("regconfig instance_cap");
+  r.seed = in.u64("regconfig seed");
+  in.expect("regressor", "load_model regressor section");
+  config.regressor =
+      regressor_kind_from_string(std::string(in.token("regressor kind")));
+  config.tuning_samples = in.i32("regressor tuning_samples");
+
+  StencilMart mart(config);
+  // Serving needs no profiled stencils: classification, tuning and variant
+  // prediction only read the config geometry, the static OC table and the
+  // GPU table, so the loaded mart carries a zero-stencil dataset.
+  ProfileDataset serving;
+  serving.config = config.profile;
+  serving.problem = gpusim::ProblemSize::paper_default(config.profile.dims);
+  serving.gpus = gpusim::evaluation_gpus();
+  mart.dataset_ = std::make_unique<ProfileDataset>(std::move(serving));
+  mart.regression_ =
+      std::make_unique<RegressionTask>(*mart.dataset_, config.regression);
+
+  mart.merger_ = OcMerger::load(in);
+  if (mart.merger_.groups().size() != ProfileDataset::num_ocs()) {
+    in.fail("load_model: OC count does not match this build's OC table");
+  }
+  in.expect("classifiers", "load_model classifier section");
+  const std::size_t num_classifiers = in.size("classifier count");
+  if (num_classifiers != mart.dataset_->gpus.size()) {
+    in.fail("load_model: classifier count does not match the GPU table");
+  }
+  // The classifiers read the Table II features of the artifact's max_order.
+  const std::size_t num_features =
+      mart.regression_->encoding_cache().stencil_dim();
+  mart.classifiers_.clear();
+  mart.classifiers_.reserve(num_classifiers);
+  for (std::size_t g = 0; g < num_classifiers; ++g) {
+    mart.classifiers_.push_back(ml::GbdtClassifier::load(in, num_features));
+    if (mart.classifiers_.back().num_classes() != mart.merger_.num_groups()) {
+      in.fail(
+          "load_model: classifier class count does not match the OC grouping");
+    }
+  }
+  mart.regression_->load_fitted(in);
+  if (!in.next().empty()) {
+    in.fail("load_model: trailing data after the regression section");
+  }
+  mart.trained_ = true;
+  return mart;
+}
+
+namespace {
+
+/// A model artifact whose envelope checks out.
+struct Envelope {
+  std::string_view payload;  // a view into the artifact bytes
+  std::string checksum;      // 16-hex FNV-1a 64 of the payload
+};
+
+/// Checks the envelope: the magic line, "payload <byte count>" on its own
+/// line, that many payload bytes, then "checksum <hex>" matching the
+/// payload's digest (anything after that token is ignored). Each failure
+/// raises a distinct std::runtime_error; the payload is hashed once.
+Envelope open_envelope(std::string_view artifact) {
+  if (artifact.empty()) throw std::runtime_error("load_model: empty stream");
+  const std::size_t eol = artifact.find('\n');
+  const std::string_view magic = artifact.substr(0, eol);
+  if (magic != kModelMagic) {
+    if (magic.starts_with(kModelMagicPrefix)) {
+      throw std::runtime_error("load_model: unsupported model format version '" +
+                               std::string(magic) + "' (this build reads " +
+                               std::string(kModelMagic) + ")");
+    }
+    throw std::runtime_error(
+        "load_model: not a StencilMART model artifact (bad magic)");
+  }
+  util::TokenReader header(eol == std::string_view::npos
+                               ? std::string_view{}
+                               : artifact.substr(eol + 1));
+  header.expect("payload", "load_model payload header");
+  const std::size_t payload_size = header.size("load_model payload size");
+  std::string_view rest = header.rest();
+  if (rest.empty() || rest.front() != '\n') {
+    throw std::runtime_error("load_model: malformed payload header");
+  }
+  rest.remove_prefix(1);
+  if (rest.size() < payload_size) {
+    throw std::runtime_error(
+        "load_model: truncated artifact (payload cut short)");
+  }
+  Envelope envelope{rest.substr(0, payload_size), {}};
+  util::TokenReader trailer(rest.substr(payload_size));
+  trailer.expect("checksum", "load_model checksum header");
+  const std::string_view digest = trailer.token("load_model checksum");
+  envelope.checksum = checksum_hex(envelope.payload);
+  if (digest != envelope.checksum) {
+    throw std::runtime_error(
+        "load_model: checksum mismatch — the artifact is corrupted");
+  }
+  return envelope;
+}
+
+/// The whole artifact: one envelope check, one hash, and the payload parsed
+/// in place. Payload errors carry "<source>: payload byte offset N: ".
+StencilMart parse_model(std::string_view artifact, const std::string& source,
+                        ModelArtifactInfo* info) {
+  Envelope envelope = open_envelope(artifact);
+  util::TokenReader in(envelope.payload);
+  try {
+    StencilMart mart = ModelCodec::read_payload(in);
+    if (info != nullptr) {
+      *info = ModelArtifactInfo{kModelMagic, std::move(envelope.checksum)};
+    }
+    return mart;
+  } catch (const std::exception& e) {
+    // With the envelope intact, a parse failure here means a format skew
+    // between writer and reader (or a resealed edit); the offset of the
+    // offending token locates the section.
+    throw std::runtime_error(source + ": payload byte offset " +
+                             std::to_string(in.offset()) + ": " + e.what());
+  }
+}
+
+/// The rest of a stream, for the stream overloads.
+std::string read_stream(std::istream& in) {
+  std::string bytes;
+  std::vector<char> chunk(kChunkBytes);
+  while (in.read(chunk.data(), static_cast<std::streamsize>(chunk.size())) ||
+         in.gcount() > 0) {
+    bytes.append(chunk.data(), static_cast<std::size_t>(in.gcount()));
+  }
+  if (in.bad()) throw std::runtime_error("load_model: stream read failed");
+  return bytes;
+}
+
+}  // namespace
+
 void save_model(const StencilMart& mart, std::ostream& out) {
   const util::PhaseTimer timer("serialize.save");
   if (!mart.trained()) {
     throw std::logic_error("save_model: StencilMart is not trained");
   }
-
-  std::ostringstream payload;
-  const MartConfig& c = mart.config_;
-  payload << "config " << c.profile.dims << ' ' << c.profile.max_order << ' '
-          << c.profile.num_stencils << ' ' << c.profile.samples_per_oc << ' '
-          << c.profile.seed << ' ';
-  util::write_f64(payload, c.profile.sim.noise_sigma);
-  payload << ' ' << c.profile.sim.seed << ' '
-          << (c.profile.vary_problem_size ? 1 : 0) << ' '
-          << (c.profile.vary_boundary ? 1 : 0) << '\n';
-  const RegressionConfig& r = c.regression;
-  payload << "regconfig " << r.folds << ' ' << r.epochs << ' ' << r.batch_size
-          << ' ';
-  util::write_f64(payload, r.learning_rate);
-  payload << ' ' << r.mlp_hidden_layers << ' ' << r.mlp_width << ' '
-          << r.instance_cap << ' ' << r.seed << '\n';
-  payload << "regressor " << to_string(c.regressor) << ' ' << c.tuning_samples
-          << '\n';
-  mart.merger_.save(payload);
-  payload << "classifiers " << mart.classifiers_.size() << '\n';
-  for (const auto& clf : mart.classifiers_) clf.save(payload);
-  mart.regression_->save_fitted(payload);
-
-  const std::string bytes = payload.str();
-  out << kModelMagic << '\n';
-  out << "payload " << bytes.size() << '\n';
-  out << bytes;
-  out << "checksum " << checksum_hex(bytes) << '\n';
+  util::TokenWriter payload;
+  ModelCodec::write_payload(mart, payload);
+  util::TokenWriter artifact;
+  artifact << kModelMagic << '\n'
+           << "payload " << payload.size() << '\n'
+           << payload.view() << "checksum " << checksum_hex(payload.view())
+           << '\n';
+  out.write(artifact.data(), static_cast<std::streamsize>(artifact.size()));
   if (!out) throw std::runtime_error("save_model: stream write failed");
 }
 
@@ -595,172 +678,27 @@ void save_model(const StencilMart& mart, const std::string& path) {
 
 StencilMart load_model(std::istream& in, const std::string& source) {
   const util::PhaseTimer timer("serialize.load");
-  std::string magic;
-  if (!std::getline(in, magic)) {
-    throw std::runtime_error("load_model: empty stream");
-  }
-  if (magic != kModelMagic) {
-    if (magic.rfind(kModelMagicPrefix, 0) == 0) {
-      throw std::runtime_error("load_model: unsupported model format version '" +
-                               magic + "' (this build reads " +
-                               std::string(kModelMagic) + ")");
-    }
-    throw std::runtime_error(
-        "load_model: not a StencilMART model artifact (bad magic)");
-  }
-  util::expect_word(in, "payload", "load_model payload header");
-  const std::size_t payload_size =
-      util::read_size(in, "load_model payload size");
-  if (in.get() != '\n') {
-    throw std::runtime_error("load_model: malformed payload header");
-  }
-  std::string bytes(payload_size, '\0');
-  in.read(bytes.data(), static_cast<std::streamsize>(payload_size));
-  if (static_cast<std::size_t>(in.gcount()) != payload_size) {
-    throw std::runtime_error(
-        "load_model: truncated artifact (payload cut short)");
-  }
-  util::expect_word(in, "checksum", "load_model checksum header");
-  const std::string digest = util::read_token(in, "load_model checksum");
-  if (digest != checksum_hex(bytes)) {
-    throw std::runtime_error(
-        "load_model: checksum mismatch — the artifact is corrupted");
-  }
+  return parse_model(read_stream(in), source, nullptr);
+}
 
-  std::istringstream payload(bytes);
-  try {
-    MartConfig config;
-    util::expect_word(payload, "config", "load_model config section");
-    config.profile.dims = util::read_int(payload, "config dims");
-    config.profile.max_order = util::read_int(payload, "config max_order");
-    config.profile.num_stencils = util::read_int(payload, "config num_stencils");
-    config.profile.samples_per_oc =
-        util::read_int(payload, "config samples_per_oc");
-    config.profile.seed = util::read_u64(payload, "config seed");
-    config.profile.sim.noise_sigma =
-        util::read_f64(payload, "config noise_sigma");
-    config.profile.sim.seed = util::read_u64(payload, "config sim seed");
-    config.profile.vary_problem_size =
-        util::read_int(payload, "config vary_problem_size") != 0;
-    config.profile.vary_boundary =
-        util::read_int(payload, "config vary_boundary") != 0;
-    if (config.profile.dims != 2 && config.profile.dims != 3) {
-      throw std::runtime_error("load_model: config dims out of range");
-    }
-    util::expect_word(payload, "regconfig", "load_model regression config");
-    RegressionConfig& r = config.regression;
-    r.folds = util::read_int(payload, "regconfig folds");
-    r.epochs = util::read_int(payload, "regconfig epochs");
-    r.batch_size = util::read_int(payload, "regconfig batch_size");
-    r.learning_rate = util::read_f64(payload, "regconfig learning_rate");
-    r.mlp_hidden_layers = util::read_int(payload, "regconfig mlp_hidden_layers");
-    r.mlp_width = util::read_size(payload, "regconfig mlp_width");
-    r.instance_cap = util::read_size(payload, "regconfig instance_cap");
-    r.seed = util::read_u64(payload, "regconfig seed");
-    util::expect_word(payload, "regressor", "load_model regressor section");
-    config.regressor =
-        regressor_kind_from_string(util::read_token(payload, "regressor kind"));
-    config.tuning_samples = util::read_int(payload, "regressor tuning_samples");
-
-    StencilMart mart(config);
-    // Serving needs no profiled stencils: classification, tuning and variant
-    // prediction only read the config geometry, the static OC table and the
-    // GPU table, so the loaded mart carries a zero-stencil dataset.
-    ProfileDataset serving;
-    serving.config = config.profile;
-    serving.problem = gpusim::ProblemSize::paper_default(config.profile.dims);
-    serving.gpus = gpusim::evaluation_gpus();
-    mart.dataset_ = std::make_unique<ProfileDataset>(std::move(serving));
-
-    mart.merger_ = OcMerger::load(payload);
-    if (mart.merger_.groups().size() != ProfileDataset::num_ocs()) {
-      throw std::runtime_error(
-          "load_model: OC count does not match this build's OC table");
-    }
-    util::expect_word(payload, "classifiers", "load_model classifier section");
-    const std::size_t num_classifiers =
-        util::read_size(payload, "classifier count");
-    if (num_classifiers != mart.dataset_->gpus.size()) {
-      throw std::runtime_error(
-          "load_model: classifier count does not match the GPU table");
-    }
-    mart.classifiers_.clear();
-    mart.classifiers_.reserve(num_classifiers);
-    for (std::size_t g = 0; g < num_classifiers; ++g) {
-      mart.classifiers_.push_back(ml::GbdtClassifier::load(payload));
-      if (mart.classifiers_.back().num_classes() != mart.merger_.num_groups()) {
-        throw std::runtime_error(
-            "load_model: classifier class count does not match the OC grouping");
-      }
-    }
-    mart.regression_ =
-        std::make_unique<RegressionTask>(*mart.dataset_, config.regression);
-    mart.regression_->load_fitted(payload);
-    std::string extra;
-    if (payload >> extra) {
-      throw std::runtime_error(
-          "load_model: trailing data after the regression section");
-    }
-    mart.trained_ = true;
-    return mart;
-  } catch (const std::exception& e) {
-    // Pinpoint where inside the (checksum-valid) payload parsing stopped:
-    // with the envelope intact, a parse failure here means a format skew
-    // between writer and reader, and the byte offset locates the section.
-    payload.clear();
-    const auto pos = payload.tellg();
-    const std::size_t offset =
-        pos < 0 ? bytes.size() : static_cast<std::size_t>(pos);
-    throw std::runtime_error(source + ": payload byte offset " +
-                             std::to_string(offset) + ": " + e.what());
-  }
+StencilMart load_model(const std::string& path, ModelArtifactInfo& info) {
+  const util::PhaseTimer timer("serialize.load");
+  return parse_model(util::read_file(path), path, &info);
 }
 
 StencilMart load_model(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("load_model: cannot open " + path);
-  return load_model(in, path);
+  ModelArtifactInfo info;
+  return load_model(path, info);
 }
 
 ModelArtifactInfo inspect_model(std::istream& in) {
-  std::string magic;
-  if (!std::getline(in, magic)) {
-    throw std::runtime_error("load_model: empty stream");
-  }
-  if (magic != kModelMagic) {
-    if (magic.rfind(kModelMagicPrefix, 0) == 0) {
-      throw std::runtime_error("load_model: unsupported model format version '" +
-                               magic + "' (this build reads " +
-                               std::string(kModelMagic) + ")");
-    }
-    throw std::runtime_error(
-        "load_model: not a StencilMART model artifact (bad magic)");
-  }
-  util::expect_word(in, "payload", "load_model payload header");
-  const std::size_t payload_size =
-      util::read_size(in, "load_model payload size");
-  if (in.get() != '\n') {
-    throw std::runtime_error("load_model: malformed payload header");
-  }
-  std::string bytes(payload_size, '\0');
-  in.read(bytes.data(), static_cast<std::streamsize>(payload_size));
-  if (static_cast<std::size_t>(in.gcount()) != payload_size) {
-    throw std::runtime_error(
-        "load_model: truncated artifact (payload cut short)");
-  }
-  util::expect_word(in, "checksum", "load_model checksum header");
-  const std::string digest = util::read_token(in, "load_model checksum");
-  if (digest != checksum_hex(bytes)) {
-    throw std::runtime_error(
-        "load_model: checksum mismatch — the artifact is corrupted");
-  }
-  return ModelArtifactInfo{magic, digest};
+  return ModelArtifactInfo{kModelMagic,
+                           open_envelope(read_stream(in)).checksum};
 }
 
 ModelArtifactInfo inspect_model(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("load_model: cannot open " + path);
-  return inspect_model(in);
+  return ModelArtifactInfo{kModelMagic,
+                           open_envelope(util::read_file(path)).checksum};
 }
 
 }  // namespace smart::core

@@ -26,6 +26,12 @@
 // unsupported version, a truncated payload, and a corrupted payload each
 // raise a distinct std::runtime_error. Weights are written as hexfloat
 // tokens, so a loaded model predicts bit-identically to the saved one.
+//
+// Both formats go through util::TokenWriter / util::TokenReader rather
+// than iostreams. An artifact is formatted into one buffer and written
+// once; a load reads the file once, checks the envelope and hashes the
+// payload once, then parses the payload in place. The stream overloads
+// below are adapters that read or write whole buffers.
 #pragma once
 
 #include <iosfwd>
@@ -54,9 +60,10 @@ ProfileDataset load_dataset(std::istream& in,
 ProfileDataset load_dataset(const std::string& path);
 
 /// Writes a trained StencilMart (config, OC merger, per-GPU classifiers,
-/// fitted regressor) as a versioned model artifact. Throws std::logic_error
-/// before train() and std::runtime_error on I/O failure. Records the
-/// "serialize.save" timing phase. The path overload writes atomically.
+/// fitted regressor) as a versioned model artifact, formatted into one
+/// buffer and written in one call. Throws std::logic_error before train()
+/// and std::runtime_error on I/O failure. Records the "serialize.save"
+/// timing phase. The path overload writes atomically.
 void save_model(const StencilMart& mart, std::ostream& out);
 void save_model(const StencilMart& mart, const std::string& path);
 
@@ -66,24 +73,34 @@ void save_model(const StencilMart& mart, const std::string& path);
 /// zero-stencil serving dataset). Throws std::runtime_error with a distinct
 /// message for bad magic, unsupported version, truncation, checksum
 /// mismatch, and malformed payload; payload parse errors carry
-/// "<source>: payload byte offset N: ..." context. Records
-/// "serialize.load".
+/// "<source>: payload byte offset N: ..." context, N being the offset of
+/// the offending token within the payload. Counts are checked against the
+/// payload bytes left before anything is sized from them, and every tree
+/// split must read a feature inside its model's input row (the Table II
+/// width of the artifact's max_order for the classifiers, the encoded
+/// feature row for a GBR). Records "serialize.load".
 StencilMart load_model(std::istream& in,
                        const std::string& source = "<stream>");
 StencilMart load_model(const std::string& path);
 
-/// Envelope metadata of a model artifact, read without parsing the payload.
-/// The serve daemon's startup banner and `healthz` reply report these so
+/// Envelope metadata of a model artifact (inspect_model, or the load_model
+/// overload below). The serve daemon's startup banner and `healthz` reply report these so
 /// operators can confirm which artifact is live after a hot reload.
 struct ModelArtifactInfo {
   std::string version;   // magic line, e.g. "stencilmart-model-v1"
   std::string checksum;  // 16-hex FNV-1a 64 digest of the payload bytes
 };
 
+/// load_model(path) that also reports the envelope metadata of the bytes it
+/// loaded: the file is read and hashed once, so the metadata always
+/// describes the returned model even when the path is replaced mid-load.
+StencilMart load_model(const std::string& path, ModelArtifactInfo& info);
+
 /// Reads and validates the artifact envelope (magic, payload byte count,
-/// checksum) and returns its metadata. Throws the same distinct
-/// std::runtime_error diagnostics as load_model for bad magic, unsupported
-/// version, truncation, and checksum mismatch.
+/// checksum) and returns its metadata, without parsing the payload. The
+/// envelope check is load_model's own, so it throws the same distinct
+/// std::runtime_error diagnostics for bad magic, unsupported version,
+/// truncation, and checksum mismatch.
 ModelArtifactInfo inspect_model(std::istream& in);
 ModelArtifactInfo inspect_model(const std::string& path);
 

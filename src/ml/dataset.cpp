@@ -1,10 +1,7 @@
 #include "ml/dataset.hpp"
 
 #include <cmath>
-#include <ostream>
 #include <stdexcept>
-
-#include "util/serialize_io.hpp"
 
 namespace smart::ml {
 
@@ -55,22 +52,22 @@ void MaxAbsScaler::transform_into(const Matrix& x, Matrix& out) const {
   }
 }
 
-void MaxAbsScaler::save(std::ostream& out) const {
+void MaxAbsScaler::save(util::TokenWriter& out) const {
   out << "scaler " << scales_.size();
   for (float s : scales_) {
     out << ' ';
-    util::write_f32(out, s);
+    out.hexfloat(s);
   }
   out << '\n';
 }
 
-MaxAbsScaler MaxAbsScaler::load(std::istream& in) {
-  util::expect_word(in, "scaler", "MaxAbsScaler::load");
-  const std::size_t n = util::read_size(in, "scaler width");
+MaxAbsScaler MaxAbsScaler::load(util::TokenReader& in) {
+  in.expect("scaler", "MaxAbsScaler::load");
+  const std::size_t n = in.count("scaler width", 2);
   MaxAbsScaler scaler;
   scaler.scales_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    scaler.scales_[i] = util::read_f32(in, "scaler scale");
+    scaler.scales_[i] = in.f32("scaler scale");
   }
   return scaler;
 }

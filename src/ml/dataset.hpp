@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -44,8 +43,8 @@ class MaxAbsScaler {
 
   /// Persists the fitted scales (hexfloat); the loaded scaler transforms
   /// bit-identically. Throws std::runtime_error on malformed input.
-  void save(std::ostream& out) const;
-  static MaxAbsScaler load(std::istream& in);
+  void save(util::TokenWriter& out) const;
+  static MaxAbsScaler load(util::TokenReader& in);
 
  private:
   std::vector<float> scales_;

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
+#include <limits>
 #include <stdexcept>
 
-#include "util/serialize_io.hpp"
 #include "util/task_pool.hpp"
 #include "util/timing.hpp"
 
@@ -35,31 +34,34 @@ std::vector<double> importance_from_trees(
 /// to amortize a task hand-off.
 constexpr std::size_t kPredictBlock = 256;
 
-void save_params(std::ostream& out, const GbdtParams& p) {
+void save_params(util::TokenWriter& out, const GbdtParams& p) {
   out << p.rounds << ' ';
-  util::write_f64(out, p.learning_rate);
+  out.hexfloat(p.learning_rate);
   out << ' ';
-  util::write_f64(out, p.subsample);
+  out.hexfloat(p.subsample);
   out << ' ' << p.seed << ' ' << p.tree.max_depth << ' '
       << p.tree.min_samples_leaf << ' ';
-  util::write_f64(out, p.tree.lambda);
+  out.hexfloat(p.tree.lambda);
   out << ' ';
-  util::write_f64(out, p.tree.min_gain);
+  out.hexfloat(p.tree.min_gain);
   out << '\n';
 }
 
-GbdtParams load_params(std::istream& in) {
+GbdtParams load_params(util::TokenReader& in) {
   GbdtParams p;
-  p.rounds = util::read_int(in, "gbdt rounds");
-  p.learning_rate = util::read_f64(in, "gbdt learning_rate");
-  p.subsample = util::read_f64(in, "gbdt subsample");
-  p.seed = util::read_u64(in, "gbdt seed");
-  p.tree.max_depth = util::read_int(in, "gbdt max_depth");
-  p.tree.min_samples_leaf = util::read_int(in, "gbdt min_samples_leaf");
-  p.tree.lambda = util::read_f64(in, "gbdt lambda");
-  p.tree.min_gain = util::read_f64(in, "gbdt min_gain");
+  p.rounds = in.i32("gbdt rounds");
+  p.learning_rate = in.f64("gbdt learning_rate");
+  p.subsample = in.f64("gbdt subsample");
+  p.seed = in.u64("gbdt seed");
+  p.tree.max_depth = in.i32("gbdt max_depth");
+  p.tree.min_samples_leaf = in.i32("gbdt min_samples_leaf");
+  p.tree.lambda = in.f64("gbdt lambda");
+  p.tree.min_gain = in.f64("gbdt min_gain");
   return p;
 }
+
+/// Bytes a serialized tree takes at least: "\ntree 0 0 0".
+constexpr std::size_t kMinTreeBytes = 11;
 
 std::vector<std::size_t> subsample_rows(std::size_t n, double fraction,
                                         util::Rng& rng) {
@@ -293,58 +295,61 @@ std::vector<int> GbdtClassifier::predict(const Matrix& x) const {
   return out;
 }
 
-void GbdtRegressor::save(std::ostream& out) const {
+void GbdtRegressor::save(util::TokenWriter& out) const {
   out << "gbr ";
   save_params(out, params_);
-  util::write_f64(out, base_);
+  out.hexfloat(base_);
   out << ' ' << trees_.size() << '\n';
   for (const RegressionTree& t : trees_) t.save(out);
 }
 
-GbdtRegressor GbdtRegressor::load(std::istream& in) {
-  util::expect_word(in, "gbr", "GbdtRegressor::load");
+GbdtRegressor GbdtRegressor::load(util::TokenReader& in,
+                                  std::size_t num_features) {
+  in.expect("gbr", "GbdtRegressor::load");
   GbdtRegressor model(load_params(in));
-  model.base_ = util::read_f64(in, "gbr base score");
-  const std::size_t num_trees = util::read_size(in, "gbr tree count");
+  model.base_ = in.f64("gbr base score");
+  const std::size_t num_trees = in.count("gbr tree count", kMinTreeBytes);
   model.trees_.reserve(num_trees);
   for (std::size_t i = 0; i < num_trees; ++i) {
-    model.trees_.push_back(RegressionTree::load(in));
+    model.trees_.push_back(RegressionTree::load(in, num_features));
   }
   model.flat_.build(model.trees_);
   return model;
 }
 
-void GbdtClassifier::save(std::ostream& out) const {
+void GbdtClassifier::save(util::TokenWriter& out) const {
   out << "gbc ";
   save_params(out, params_);
   out << num_classes_;
   for (double b : base_scores_) {
     out << ' ';
-    util::write_f64(out, b);
+    out.hexfloat(b);
   }
   out << '\n' << trees_.size() << '\n';
   for (const RegressionTree& t : trees_) t.save(out);
 }
 
-GbdtClassifier GbdtClassifier::load(std::istream& in) {
-  util::expect_word(in, "gbc", "GbdtClassifier::load");
+GbdtClassifier GbdtClassifier::load(util::TokenReader& in,
+                                    std::size_t num_features) {
+  in.expect("gbc", "GbdtClassifier::load");
   GbdtClassifier model(load_params(in));
-  model.num_classes_ = util::read_int(in, "gbc num_classes");
-  if (model.num_classes_ < 2) {
-    throw std::runtime_error("GbdtClassifier::load: bad class count");
+  const std::size_t num_classes = in.count("gbc num_classes", 2);
+  if (num_classes < 2 ||
+      num_classes > static_cast<std::size_t>(std::numeric_limits<int>::max())) {
+    in.fail("GbdtClassifier::load: bad class count");
   }
-  model.base_scores_.resize(static_cast<std::size_t>(model.num_classes_));
+  model.num_classes_ = static_cast<int>(num_classes);
+  model.base_scores_.resize(num_classes);
   for (double& b : model.base_scores_) {
-    b = util::read_f64(in, "gbc base score");
+    b = in.f64("gbc base score");
   }
-  const std::size_t num_trees = util::read_size(in, "gbc tree count");
-  if (num_trees % static_cast<std::size_t>(model.num_classes_) != 0) {
-    throw std::runtime_error(
-        "GbdtClassifier::load: tree count not a multiple of classes");
+  const std::size_t num_trees = in.count("gbc tree count", kMinTreeBytes);
+  if (num_trees % num_classes != 0) {
+    in.fail("GbdtClassifier::load: tree count not a multiple of classes");
   }
   model.trees_.reserve(num_trees);
   for (std::size_t i = 0; i < num_trees; ++i) {
-    model.trees_.push_back(RegressionTree::load(in));
+    model.trees_.push_back(RegressionTree::load(in, num_features));
   }
   model.flat_.build(model.trees_);
   return model;

@@ -4,7 +4,6 @@
 // time prediction, Sec. IV-E).
 #pragma once
 
-#include <iosfwd>
 #include <vector>
 
 #include "ml/dataset.hpp"
@@ -47,8 +46,10 @@ class GbdtRegressor {
   /// Persists the fitted ensemble (params, base score, trees). The loaded
   /// model predicts bit-identically; the feature binner is NOT persisted
   /// (fit() rebuilds it), so artifacts are inference-ready, not resumable.
-  void save(std::ostream& out) const;
-  static GbdtRegressor load(std::istream& in);
+  /// load() rejects a split on a feature outside [0, num_features), so the
+  /// loaded model is safe to run on rows of num_features values.
+  void save(util::TokenWriter& out) const;
+  static GbdtRegressor load(util::TokenReader& in, std::size_t num_features);
 
  private:
   GbdtParams params_;
@@ -94,10 +95,10 @@ class GbdtClassifier {
   }
 
   /// Persists the fitted ensemble (params, base scores, trees); the loaded
-  /// classifier predicts bit-identically. Binner not persisted (see
-  /// GbdtRegressor::save).
-  void save(std::ostream& out) const;
-  static GbdtClassifier load(std::istream& in);
+  /// classifier predicts bit-identically. Binner not persisted, and the
+  /// feature width checked at load (see GbdtRegressor::save).
+  void save(util::TokenWriter& out) const;
+  static GbdtClassifier load(util::TokenReader& in, std::size_t num_features);
 
  private:
   /// Raw per-class scores for one row: the base scores plus every tree's

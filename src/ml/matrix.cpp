@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
 #include <stdexcept>
 
-#include "util/serialize_io.hpp"
 #include "util/task_pool.hpp"
 
 namespace smart::ml {
@@ -42,21 +40,23 @@ void Matrix::init_he(util::Rng& rng) {
   }
 }
 
-void Matrix::save(std::ostream& out) const {
+void Matrix::save(util::TokenWriter& out) const {
   out << "mat " << rows_ << ' ' << cols_;
   for (float v : data_) {
     out << ' ';
-    util::write_f32(out, v);
+    out.hexfloat(v);
   }
   out << '\n';
 }
 
-Matrix Matrix::load(std::istream& in) {
-  util::expect_word(in, "mat", "Matrix::load");
-  const std::size_t rows = util::read_size(in, "Matrix::load rows");
-  const std::size_t cols = util::read_size(in, "Matrix::load cols");
+Matrix Matrix::load(util::TokenReader& in) {
+  in.expect("mat", "Matrix::load");
+  // Every element is a token and its separator, at least 2 bytes: a row
+  // takes 2 * cols of them (a zero-column matrix holds no elements).
+  const std::size_t rows = in.count("Matrix::load rows", 2);
+  const std::size_t cols = in.count("Matrix::load cols", 2 * rows);
   Matrix m(rows, cols);
-  for (float& v : m.data_) v = util::read_f32(in, "Matrix::load element");
+  for (float& v : m.data_) v = in.f32("Matrix::load element");
   return m;
 }
 

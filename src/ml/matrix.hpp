@@ -5,11 +5,11 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
 #include "util/rng.hpp"
+#include "util/serialize_io.hpp"
 
 namespace smart::ml {
 
@@ -68,8 +68,8 @@ class Matrix {
   /// Writes `mat rows cols` + hexfloat elements (one token each). load()
   /// reproduces every element bit-exactly and throws std::runtime_error on
   /// malformed input or non-finite values (a NaN weight must never load).
-  void save(std::ostream& out) const;
-  static Matrix load(std::istream& in);
+  void save(util::TokenWriter& out) const;
+  static Matrix load(util::TokenReader& in);
 
   friend bool operator==(const Matrix&, const Matrix&) = default;
 

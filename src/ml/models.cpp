@@ -1,10 +1,7 @@
 #include "ml/models.hpp"
 
 #include <memory>
-#include <ostream>
 #include <stdexcept>
-
-#include "util/serialize_io.hpp"
 
 namespace smart::ml {
 
@@ -61,23 +58,23 @@ double run_epochs(std::size_t n, const TrainConfig& config, util::Rng& rng,
 
 }  // namespace
 
-void save_train_config(std::ostream& out, const TrainConfig& config) {
+void save_train_config(util::TokenWriter& out, const TrainConfig& config) {
   out << "tc " << config.epochs << ' ' << config.batch_size << ' ';
-  util::write_f64(out, config.learning_rate);
+  out.hexfloat(config.learning_rate);
   out << ' ' << config.seed << ' ';
-  util::write_f64(out, config.validation_fraction);
+  out.hexfloat(config.validation_fraction);
   out << ' ' << config.patience << '\n';
 }
 
-TrainConfig load_train_config(std::istream& in) {
-  util::expect_word(in, "tc", "load_train_config");
+TrainConfig load_train_config(util::TokenReader& in) {
+  in.expect("tc", "load_train_config");
   TrainConfig config;
-  config.epochs = util::read_int(in, "tc epochs");
-  config.batch_size = util::read_int(in, "tc batch_size");
-  config.learning_rate = util::read_f64(in, "tc learning_rate");
-  config.seed = util::read_u64(in, "tc seed");
-  config.validation_fraction = util::read_f64(in, "tc validation_fraction");
-  config.patience = util::read_int(in, "tc patience");
+  config.epochs = in.i32("tc epochs");
+  config.batch_size = in.i32("tc batch_size");
+  config.learning_rate = in.f64("tc learning_rate");
+  config.seed = in.u64("tc seed");
+  config.validation_fraction = in.f64("tc validation_fraction");
+  config.patience = in.i32("tc patience");
   return config;
 }
 
@@ -198,14 +195,14 @@ std::vector<int> NnClassifier::predict(const Matrix& x) {
   return argmax_rows(net_.infer(x));
 }
 
-void NnClassifier::save(std::ostream& out) const {
+void NnClassifier::save(util::TokenWriter& out) const {
   out << "nncls\n";
   save_train_config(out, config_);
   net_.save(out);
 }
 
-NnClassifier NnClassifier::load(std::istream& in) {
-  util::expect_word(in, "nncls", "NnClassifier::load");
+NnClassifier NnClassifier::load(util::TokenReader& in) {
+  in.expect("nncls", "NnClassifier::load");
   TrainConfig config = load_train_config(in);
   return NnClassifier(Sequential::load(in), config);
 }
@@ -258,14 +255,14 @@ std::vector<double> NnRegressor::predict(const Matrix& x) {
   return out;
 }
 
-void NnRegressor::save(std::ostream& out) const {
+void NnRegressor::save(util::TokenWriter& out) const {
   out << "nnreg\n";
   save_train_config(out, config_);
   net_.save(out);
 }
 
-NnRegressor NnRegressor::load(std::istream& in) {
-  util::expect_word(in, "nnreg", "NnRegressor::load");
+NnRegressor NnRegressor::load(util::TokenReader& in) {
+  in.expect("nnreg", "NnRegressor::load");
   TrainConfig config = load_train_config(in);
   return NnRegressor(Sequential::load(in), config);
 }
@@ -397,7 +394,7 @@ std::vector<double> ConvMlpRegressor::predict_gathered(
   return out;
 }
 
-void ConvMlpRegressor::save(std::ostream& out) const {
+void ConvMlpRegressor::save(util::TokenWriter& out) const {
   out << "convmlp " << conv_out_ << ' ' << mlp_out_ << '\n';
   save_train_config(out, config_);
   conv_branch_.save(out);
@@ -405,13 +402,13 @@ void ConvMlpRegressor::save(std::ostream& out) const {
   head_.save(out);
 }
 
-ConvMlpRegressor ConvMlpRegressor::load(std::istream& in) {
-  util::expect_word(in, "convmlp", "ConvMlpRegressor::load");
+ConvMlpRegressor ConvMlpRegressor::load(util::TokenReader& in) {
+  in.expect("convmlp", "ConvMlpRegressor::load");
   ConvMlpRegressor model;
-  model.conv_out_ = util::read_size(in, "convmlp conv_out");
-  model.mlp_out_ = util::read_size(in, "convmlp mlp_out");
+  model.conv_out_ = in.size("convmlp conv_out");
+  model.mlp_out_ = in.size("convmlp mlp_out");
   if (model.conv_out_ == 0 || model.mlp_out_ == 0) {
-    throw std::runtime_error("ConvMlpRegressor::load: empty branch width");
+    in.fail("ConvMlpRegressor::load: empty branch width");
   }
   model.config_ = load_train_config(in);
   model.conv_branch_ = Sequential::load(in);

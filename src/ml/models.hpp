@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -31,8 +30,8 @@ struct TrainConfig {
 
 /// Token round-trip for TrainConfig (hyperparameters travel with the fitted
 /// weights so a refit on new data reproduces the original recipe).
-void save_train_config(std::ostream& out, const TrainConfig& config);
-TrainConfig load_train_config(std::istream& in);
+void save_train_config(util::TokenWriter& out, const TrainConfig& config);
+TrainConfig load_train_config(util::TokenReader& in);
 
 /// Conv stack for pattern tensors: two kxk conv layers (k = 3, as in the
 /// paper) + two dense layers. dims selects Conv2D vs Conv3D.
@@ -56,8 +55,8 @@ class NnClassifier {
   std::vector<int> predict(const Matrix& x);
 
   /// Persists config + net; the loaded classifier predicts bit-identically.
-  void save(std::ostream& out) const;
-  static NnClassifier load(std::istream& in);
+  void save(util::TokenWriter& out) const;
+  static NnClassifier load(util::TokenReader& in);
 
  private:
   Sequential net_;
@@ -73,8 +72,8 @@ class NnRegressor {
   std::vector<double> predict(const Matrix& x);
 
   /// Persists config + net; the loaded regressor predicts bit-identically.
-  void save(std::ostream& out) const;
-  static NnRegressor load(std::istream& in);
+  void save(util::TokenWriter& out) const;
+  static NnRegressor load(util::TokenReader& in);
 
  private:
   Sequential net_;
@@ -103,8 +102,8 @@ class ConvMlpRegressor {
 
   /// Persists config + all three branch nets; the loaded regressor predicts
   /// bit-identically (predict and predict_gathered).
-  void save(std::ostream& out) const;
-  static ConvMlpRegressor load(std::istream& in);
+  void save(util::TokenWriter& out) const;
+  static ConvMlpRegressor load(util::TokenReader& in);
 
  private:
   ConvMlpRegressor() = default;  // deserialization shell filled by load()

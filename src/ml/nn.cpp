@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
 #include <stdexcept>
 
 #include "ml/simd.hpp"
-#include "util/serialize_io.hpp"
 #include "util/task_pool.hpp"
 
 namespace smart::ml {
@@ -26,7 +24,7 @@ Dense::Dense(Matrix w, Matrix b)
   }
 }
 
-void Dense::save(std::ostream& out) const {
+void Dense::save(util::TokenWriter& out) const {
   out << "dense\n";
   w_.save(out);
   b_.save(out);
@@ -102,7 +100,7 @@ Matrix ReLU::backward(const Matrix& grad_out) {
   return g;
 }
 
-void ReLU::save(std::ostream& out) const { out << "relu\n"; }
+void ReLU::save(util::TokenWriter& out) const { out << "relu\n"; }
 
 // ----- Dropout -----------------------------------------------------------------
 
@@ -144,9 +142,9 @@ Matrix Dropout::backward(const Matrix& grad_out) {
   return g;
 }
 
-void Dropout::save(std::ostream& out) const {
+void Dropout::save(util::TokenWriter& out) const {
   out << "dropout ";
-  util::write_f64(out, rate_);
+  out.hexfloat(rate_);
   out << '\n';
 }
 
@@ -181,7 +179,7 @@ Conv2D::Conv2D(int in_c, int out_c, int h, int w, int k, Matrix weights,
   }
 }
 
-void Conv2D::save(std::ostream& out) const {
+void Conv2D::save(util::TokenWriter& out) const {
   out << "conv2 " << in_c_ << ' ' << out_c_ << ' ' << h_ << ' ' << w_ << ' '
       << k_ << '\n';
   weights_.save(out);
@@ -314,7 +312,7 @@ Conv3D::Conv3D(int in_c, int out_c, int d, int h, int w, int k, Matrix weights,
   }
 }
 
-void Conv3D::save(std::ostream& out) const {
+void Conv3D::save(util::TokenWriter& out) const {
   out << "conv3 " << in_c_ << ' ' << out_c_ << ' ' << d_ << ' ' << h_ << ' '
       << w_ << ' ' << k_ << '\n';
   weights_.save(out);
@@ -477,17 +475,18 @@ void Sequential::set_training(bool training) {
   for (auto& layer : layers_) layer->set_training(training);
 }
 
-void Sequential::save(std::ostream& out) const {
+void Sequential::save(util::TokenWriter& out) const {
   out << "net " << layers_.size() << '\n';
   for (const auto& layer : layers_) layer->save(out);
 }
 
-Sequential Sequential::load(std::istream& in) {
-  util::expect_word(in, "net", "Sequential::load");
-  const std::size_t num_layers = util::read_size(in, "net layer count");
+Sequential Sequential::load(util::TokenReader& in) {
+  in.expect("net", "Sequential::load");
+  // The shortest layer record is "\nrelu".
+  const std::size_t num_layers = in.count("net layer count", 5);
   Sequential net;
   for (std::size_t i = 0; i < num_layers; ++i) {
-    const std::string tag = util::read_token(in, "net layer tag");
+    const std::string_view tag = in.token("net layer tag");
     if (tag == "dense") {
       Matrix w = Matrix::load(in);
       Matrix b = Matrix::load(in);
@@ -495,36 +494,36 @@ Sequential Sequential::load(std::istream& in) {
     } else if (tag == "relu") {
       net.add(std::make_unique<ReLU>());
     } else if (tag == "dropout") {
-      const double rate = util::read_f64(in, "dropout rate");
+      const double rate = in.f64("dropout rate");
       if (rate < 0.0 || rate >= 1.0) {
-        throw std::runtime_error("Sequential::load: dropout rate out of range");
+        in.fail("Sequential::load: dropout rate out of range");
       }
       // Seed 0: the RNG stream is training state; loaded nets only infer.
       net.add(std::make_unique<Dropout>(rate, 0));
     } else if (tag == "conv2") {
-      const int in_c = util::read_int(in, "conv2 in_c");
-      const int out_c = util::read_int(in, "conv2 out_c");
-      const int h = util::read_int(in, "conv2 h");
-      const int w = util::read_int(in, "conv2 w");
-      const int k = util::read_int(in, "conv2 k");
+      const int in_c = in.i32("conv2 in_c");
+      const int out_c = in.i32("conv2 out_c");
+      const int h = in.i32("conv2 h");
+      const int w = in.i32("conv2 w");
+      const int k = in.i32("conv2 k");
       Matrix weights = Matrix::load(in);
       Matrix bias = Matrix::load(in);
       net.add(std::make_unique<Conv2D>(in_c, out_c, h, w, k,
                                        std::move(weights), std::move(bias)));
     } else if (tag == "conv3") {
-      const int in_c = util::read_int(in, "conv3 in_c");
-      const int out_c = util::read_int(in, "conv3 out_c");
-      const int d = util::read_int(in, "conv3 d");
-      const int h = util::read_int(in, "conv3 h");
-      const int w = util::read_int(in, "conv3 w");
-      const int k = util::read_int(in, "conv3 k");
+      const int in_c = in.i32("conv3 in_c");
+      const int out_c = in.i32("conv3 out_c");
+      const int d = in.i32("conv3 d");
+      const int h = in.i32("conv3 h");
+      const int w = in.i32("conv3 w");
+      const int k = in.i32("conv3 k");
       Matrix weights = Matrix::load(in);
       Matrix bias = Matrix::load(in);
       net.add(std::make_unique<Conv3D>(in_c, out_c, d, h, w, k,
                                        std::move(weights), std::move(bias)));
     } else {
-      throw std::runtime_error("Sequential::load: unknown layer tag '" + tag +
-                               "'");
+      in.fail("Sequential::load: unknown layer tag '" + std::string(tag) +
+              "'");
     }
   }
   return net;

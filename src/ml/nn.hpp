@@ -8,7 +8,6 @@
 // volume and produce the flattened output volume.
 #pragma once
 
-#include <iosfwd>
 #include <memory>
 #include <vector>
 
@@ -43,7 +42,7 @@ class Layer {
   /// Persists the layer as a tagged token record (weights in hexfloat, so
   /// Sequential::load reproduces inference bit-exactly). Optimizer and
   /// backward state are not persisted — artifacts are inference-ready.
-  virtual void save(std::ostream& out) const = 0;
+  virtual void save(util::TokenWriter& out) const = 0;
 };
 
 class Dense final : public Layer {
@@ -63,7 +62,7 @@ class Dense final : public Layer {
   Matrix backward(const Matrix& grad_out) override;
   void collect_params(std::vector<ParamRef>& out) override;
   std::size_t output_size(std::size_t) const override { return w_.cols(); }
-  void save(std::ostream& out) const override;
+  void save(util::TokenWriter& out) const override;
 
  private:
   Matrix w_, b_, dw_, db_;
@@ -78,7 +77,7 @@ class ReLU final : public Layer {
   std::size_t output_size(std::size_t input_size) const override {
     return input_size;
   }
-  void save(std::ostream& out) const override;
+  void save(util::TokenWriter& out) const override;
 
  private:
   Matrix mask_;
@@ -101,7 +100,7 @@ class Dropout final : public Layer {
   void set_training(bool training) override { training_ = training; }
   /// Persists the rate only: the RNG stream is training state, and loaded
   /// nets are inference artifacts (infer() never consumes randomness).
-  void save(std::ostream& out) const override;
+  void save(util::TokenWriter& out) const override;
 
  private:
   double rate_;
@@ -123,7 +122,7 @@ class Conv2D final : public Layer {
   std::size_t output_size(std::size_t) const override {
     return static_cast<std::size_t>(out_c_) * oh() * ow();
   }
-  void save(std::ostream& out) const override;
+  void save(util::TokenWriter& out) const override;
   std::size_t oh() const { return static_cast<std::size_t>(h_ - k_ + 1); }
   std::size_t ow() const { return static_cast<std::size_t>(w_ - k_ + 1); }
 
@@ -149,7 +148,7 @@ class Conv3D final : public Layer {
   std::size_t output_size(std::size_t) const override {
     return static_cast<std::size_t>(out_c_) * od() * oh() * ow();
   }
-  void save(std::ostream& out) const override;
+  void save(util::TokenWriter& out) const override;
   std::size_t od() const { return static_cast<std::size_t>(d_ - k_ + 1); }
   std::size_t oh() const { return static_cast<std::size_t>(h_ - k_ + 1); }
   std::size_t ow() const { return static_cast<std::size_t>(w_ - k_ + 1); }
@@ -194,8 +193,8 @@ class Sequential {
   /// Persists every layer in order; load() reconstructs a net whose infer()
   /// and forward() are bit-identical to the saved one. Throws
   /// std::runtime_error on unknown layer tags or malformed weights.
-  void save(std::ostream& out) const;
-  static Sequential load(std::istream& in);
+  void save(util::TokenWriter& out) const;
+  static Sequential load(util::TokenReader& in);
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <ostream>
 #include <stdexcept>
-
-#include "util/serialize_io.hpp"
 
 namespace smart::ml {
 
@@ -240,48 +237,56 @@ int RegressionTree::build(Workspace& ws, std::size_t begin, std::size_t end,
   return node_index;
 }
 
-void RegressionTree::save(std::ostream& out) const {
+void RegressionTree::save(util::TokenWriter& out) const {
   out << "tree " << nodes_.size() << ' ' << depth_ << ' '
       << split_gains_.size() << '\n';
   for (const Node& n : nodes_) {
     out << n.feature << ' ';
-    util::write_f64(out, static_cast<double>(n.threshold));
+    out.hexfloat(static_cast<double>(n.threshold));
     out << ' ' << n.left << ' ' << n.right << ' ';
-    util::write_f64(out, n.weight);
+    out.hexfloat(n.weight);
     out << '\n';
   }
   for (const auto& [feature, gain] : split_gains_) {
     out << feature << ' ';
-    util::write_f64(out, gain);
+    out.hexfloat(gain);
     out << '\n';
   }
 }
 
-RegressionTree RegressionTree::load(std::istream& in) {
-  util::expect_word(in, "tree", "RegressionTree::load");
-  const std::size_t num_nodes = util::read_size(in, "tree node count");
-  const int depth = util::read_int(in, "tree depth");
-  const std::size_t num_gains = util::read_size(in, "tree gain count");
+RegressionTree RegressionTree::load(util::TokenReader& in,
+                                    std::size_t num_features) {
+  in.expect("tree", "RegressionTree::load");
+  // A node is 5 tokens and a gain 2, each at least 2 bytes with its
+  // separator.
+  const std::size_t num_nodes = in.count("tree node count", 10);
+  const int depth = in.i32("tree depth");
+  const std::size_t num_gains = in.count("tree gain count", 4);
   RegressionTree tree;
   tree.depth_ = depth;
   tree.nodes_.resize(num_nodes);
   const long long n = static_cast<long long>(num_nodes);
   for (Node& node : tree.nodes_) {
-    node.feature = util::read_int(in, "tree node feature");
-    node.threshold =
-        static_cast<float>(util::read_f64(in, "tree node threshold", false));
-    node.left = util::read_int(in, "tree node left");
-    node.right = util::read_int(in, "tree node right");
-    node.weight = util::read_f64(in, "tree node weight");
+    node.feature = in.i32("tree node feature");
+    if (node.feature >= 0 &&
+        static_cast<std::size_t>(node.feature) >= num_features) {
+      in.fail("RegressionTree::load: split feature " +
+              std::to_string(node.feature) + " outside the " +
+              std::to_string(num_features) + "-feature input");
+    }
+    node.threshold = static_cast<float>(in.f64("tree node threshold", false));
+    node.left = in.i32("tree node left");
+    node.right = in.i32("tree node right");
+    node.weight = in.f64("tree node weight");
     if (node.feature >= 0 &&
         (node.left < 0 || node.left >= n || node.right < 0 || node.right >= n)) {
-      throw std::runtime_error("RegressionTree::load: dangling child link");
+      in.fail("RegressionTree::load: dangling child link");
     }
   }
   tree.split_gains_.resize(num_gains);
   for (auto& [feature, gain] : tree.split_gains_) {
-    feature = util::read_int(in, "tree gain feature");
-    gain = util::read_f64(in, "tree gain value");
+    feature = in.i32("tree gain feature");
+    gain = in.f64("tree gain value");
   }
   return tree;
 }

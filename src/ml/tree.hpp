@@ -9,11 +9,11 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
 #include "ml/matrix.hpp"
+#include "util/serialize_io.hpp"
 
 namespace smart::ml {
 
@@ -91,9 +91,11 @@ class RegressionTree {
 
   /// Persists the fitted tree (nodes, split gains, depth) as tokens; load()
   /// reproduces predict_row bit-exactly and throws std::runtime_error on
-  /// malformed input, dangling child links, or non-finite weights.
-  void save(std::ostream& out) const;
-  static RegressionTree load(std::istream& in);
+  /// malformed input, dangling child links, non-finite weights, or a split
+  /// on a feature outside [0, num_features) — the loaded tree is safe to
+  /// walk on any row of num_features values.
+  void save(util::TokenWriter& out) const;
+  static RegressionTree load(util::TokenReader& in, std::size_t num_features);
 
   /// Fitted nodes (index 0 is the root) — relaid out by FlatForest::build.
   const std::vector<Node>& nodes() const noexcept { return nodes_; }

@@ -1,8 +1,12 @@
 #include "util/atomic_file.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <stdexcept>
 
@@ -39,6 +43,39 @@ void atomic_write(const std::string& path,
     throw std::runtime_error("atomic_write: cannot rename " + tmp + " over " +
                              path);
   }
+}
+
+std::string read_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    throw std::runtime_error("cannot open " + path + ": " +
+                             std::strerror(errno));
+  }
+  std::string bytes;
+  const char* error = nullptr;
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    error = "cannot stat ";
+  } else if (!S_ISREG(st.st_mode)) {
+    error = "not a regular file: ";
+  } else {
+    bytes.resize(static_cast<std::size_t>(st.st_size));
+    std::size_t done = 0;
+    while (done < bytes.size()) {
+      const ssize_t got = ::read(fd, bytes.data() + done, bytes.size() - done);
+      if (got < 0 && errno == EINTR) continue;
+      if (got < 0) {
+        error = "cannot read ";
+        break;
+      }
+      if (got == 0) break;  // the file shrank: return what is there
+      done += static_cast<std::size_t>(got);
+    }
+    bytes.resize(done);
+  }
+  ::close(fd);
+  if (error != nullptr) throw std::runtime_error(error + path);
+  return bytes;
 }
 
 }  // namespace smart::util

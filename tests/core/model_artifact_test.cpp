@@ -6,18 +6,24 @@
 //
 // The suite also pins the artifact's error paths: bad magic, unsupported
 // version, truncation, checksum corruption, NaN weights smuggled into a
-// re-checksummed payload, and trailing payload data all raise a clear
-// std::runtime_error instead of producing a silently-wrong model.
+// re-checksummed payload, trailing payload data, counts too large for the
+// payload and split features outside the input row all raise a clear
+// std::runtime_error instead of producing a silently-wrong model. The
+// writer's bytes are pinned per regressor kind, and a seeded mutation fuzz
+// holds the reader to "located error or byte-stable round trip".
 //
 // Suite names map onto the ctest label groups (tests/CMakeLists.txt):
 //   ModelArtifact.*          -> unit      (round trips under SerialSection)
 //   ParallelModelArtifact.*  -> parallel  (round trips at default threads)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -27,6 +33,7 @@
 #include "core/serialize.hpp"
 #include "stencil/pattern.hpp"
 #include "util/fault.hpp"
+#include "util/rng.hpp"
 #include "util/serialize_io.hpp"
 #include "util/task_pool.hpp"
 
@@ -107,13 +114,17 @@ void check_round_trip(RegressorKind kind) {
   }
 }
 
-/// A saved GBR artifact, reused by the corruption tests below.
-const std::string& reference_artifact() {
-  static const std::string artifact = [] {
-    std::stringstream buffer;
-    save_model(trained_mart(RegressorKind::kGbr), buffer);
-    return buffer.str();
-  }();
+std::string saved(const StencilMart& mart) {
+  std::stringstream buffer;
+  save_model(mart, buffer);
+  return buffer.str();
+}
+
+/// A saved artifact per regressor kind, reused by the tests below.
+const std::string& reference_artifact(RegressorKind kind = RegressorKind::kGbr) {
+  static std::vector<std::string> artifacts(3);
+  std::string& artifact = artifacts[static_cast<std::size_t>(kind)];
+  if (artifact.empty()) artifact = saved(trained_mart(kind));
   return artifact;
 }
 
@@ -141,12 +152,69 @@ std::string reseal(const std::string& payload) {
   return out.str();
 }
 
-/// Splits the reference artifact into (header-through-payload-line, payload).
-std::string reference_payload() {
-  const std::string& artifact = reference_artifact();
+/// The payload bytes of an artifact: between the "payload N" line and the
+/// checksum trailer.
+std::string payload_of(const std::string& artifact) {
   const std::size_t header_end = artifact.find('\n', artifact.find("payload"));
   const std::size_t checksum_pos = artifact.rfind("checksum ");
   return artifact.substr(header_end + 1, checksum_pos - header_end - 1);
+}
+
+std::string reference_payload(RegressorKind kind = RegressorKind::kGbr) {
+  return payload_of(reference_artifact(kind));
+}
+
+/// A small artifact per regressor kind whose classifiers split (the
+/// six-stencil reference corpus leaves every classifier tree a single
+/// leaf): 16 stencils of max_order 2, a narrow MLP.
+const std::string& splitting_artifact(RegressorKind kind) {
+  static std::vector<std::string> artifacts(3);
+  std::string& artifact = artifacts[static_cast<std::size_t>(kind)];
+  if (artifact.empty()) {
+    ProfileConfig cfg;
+    cfg.dims = 2;
+    cfg.max_order = 2;
+    cfg.num_stencils = 16;
+    cfg.samples_per_oc = 1;
+    cfg.seed = 1618;
+    MartConfig config = small_config(kind);
+    config.regression.epochs = 2;
+    config.regression.instance_cap = 200;
+    config.regression.mlp_hidden_layers = 1;
+    config.regression.mlp_width = 16;
+    config.tuning_samples = 4;
+    StencilMart mart(config);
+    mart.train(build_profile_dataset(cfg));
+    artifact = saved(mart);
+  }
+  return artifact;
+}
+
+/// Loads `artifact` under the source name "model.smart" and returns the
+/// error message (empty when it loaded).
+std::string load_error(const std::string& artifact) {
+  std::stringstream in(artifact);
+  try {
+    load_model(in, "model.smart");
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::string located_at(std::size_t offset) {
+  return "model.smart: payload byte offset " + std::to_string(offset) + ": ";
+}
+
+/// Offset of the first node line of the first tree at or after `from`
+/// whose root splits (feature >= 0).
+std::size_t first_split_root(const std::string& payload, std::size_t from) {
+  for (std::size_t tree = payload.find("\ntree ", from);
+       tree != std::string::npos; tree = payload.find("\ntree ", tree + 1)) {
+    const std::size_t root = payload.find('\n', tree + 1) + 1;
+    if (payload[root] != '-') return root;
+  }
+  return std::string::npos;
 }
 
 // --- unit label: round trips pinned to one thread. ---
@@ -262,9 +330,121 @@ TEST(ModelArtifact, PayloadParseErrorsCarrySourceAndByteOffset) {
     EXPECT_EQ(what.find("model.smart: payload byte offset "), 0u) << what;
     EXPECT_NE(what.find("trailing data"), std::string::npos) << what;
   }
+  // The offset names the first byte of the offending token: here a
+  // mid-payload section word.
+  std::string payload = reference_payload();
+  const std::size_t pos = payload.find("\nregconfig ") + 1;
+  payload.replace(pos, 9, "regkonfig");
+  const std::string what = load_error(reseal(payload));
+  EXPECT_EQ(what.find(located_at(pos)), 0u) << what;
+  EXPECT_NE(what.find("expected 'regconfig', got 'regkonfig'"),
+            std::string::npos)
+      << what;
   // Envelope errors (pre-payload) stay un-prefixed: the artifact, not a
   // section inside it, is the problem.
   expect_load_fails("definitely-not-a-model\n", "bad magic");
+}
+
+TEST(ModelArtifact, OversizedCountsAreRejectedBeforeAllocation) {
+  // Each count is replaced in a resealed payload by one whose items could
+  // never fit in the bytes left. The reader must refuse it at the count
+  // token, before any container is sized from it.
+  struct Case {
+    RegressorKind kind;
+    std::string before;  // text ending right before the count token
+    std::string count;   // the count token to replace
+    std::string huge;
+  };
+  const std::string big = "1000000000000000000";
+  const std::vector<Case> cases = {
+      {RegressorKind::kGbr, "\ntree ", "", big},
+      {RegressorKind::kMlp, "\nmat ", "", big},
+      {RegressorKind::kMlp, "\nscaler ", "", big},
+      {RegressorKind::kGbr, "\nocmerger ", "", "20000000"},
+      {RegressorKind::kGbr, "\nocmerger ", "N", big},
+      {RegressorKind::kGbr, "\ngbc ", "classes", "20000000"},
+      {RegressorKind::kGbr, "\ngbc ", "trees", big},
+      {RegressorKind::kGbr, "\ngbr ", "trees", big},
+  };
+  for (const Case& c : cases) {
+    std::string payload = reference_payload(c.kind);
+    std::size_t pos = payload.find(c.before);
+    ASSERT_NE(pos, std::string::npos) << c.before;
+    pos += c.before.size();
+    if (c.count == "N") {
+      pos = payload.find(' ', pos) + 1;  // the second count on the line
+    } else if (c.count == "classes") {
+      pos = payload.find('\n', pos) + 1;  // after the params line
+    } else if (c.count == "trees") {
+      // gbc: params line, classes + base scores line, then the tree count;
+      // gbr: params line, then "base trees".
+      pos = payload.find('\n', pos) + 1;
+      pos = c.before == "\ngbc " ? payload.find('\n', pos) + 1
+                                 : payload.find(' ', pos) + 1;
+    }
+    const std::size_t end = payload.find_first_of(" \n", pos);
+    payload.replace(pos, end - pos, c.huge);
+    const std::string what = load_error(reseal(payload));
+    EXPECT_EQ(what.find(located_at(pos)), 0u) << c.before << c.count << ": "
+                                              << what;
+    EXPECT_NE(what.find("count " + c.huge + " cannot fit"), std::string::npos)
+        << what;
+  }
+}
+
+TEST(ModelArtifact, RejectsSplitFeatureOutsideInputWidth) {
+  // A checksum-valid artifact whose split reads past the model's input row
+  // would send the forest walk out of bounds at the first advise; the
+  // reader refuses it at the feature token.
+  for (const char* section : {"\ngbc ", "\ngbr "}) {
+    std::string payload = payload_of(splitting_artifact(RegressorKind::kGbr));
+    const std::size_t root = first_split_root(payload, payload.find(section));
+    ASSERT_NE(root, std::string::npos) << section;
+    payload.replace(root, payload.find(' ', root) - root, "100000000");
+    ASSERT_EQ(section == std::string("\ngbc "),
+              root < payload.find("\nfitted "));
+    const std::string what = load_error(reseal(payload));
+    EXPECT_EQ(what.find(located_at(root)), 0u) << what;
+    EXPECT_NE(what.find("split feature 100000000 outside the"),
+              std::string::npos)
+        << what;
+  }
+  // The classifiers read the 3 + 2 * max_order Table II features, 7 at
+  // max_order 2: the last one is a valid split, one past it is not.
+  const int width = 7;
+  const std::string payload =
+      payload_of(splitting_artifact(RegressorKind::kGbr));
+  const std::size_t root = first_split_root(payload, payload.find("\ngbc "));
+  ASSERT_LT(root, payload.find("\nfitted "));
+  const std::size_t end = payload.find(' ', root);
+  std::string last = payload;
+  last.replace(root, end - root, std::to_string(width - 1));
+  EXPECT_EQ(load_error(reseal(last)), "");
+  std::string past = payload;
+  past.replace(root, end - root, std::to_string(width));
+  const std::string what = load_error(reseal(past));
+  EXPECT_EQ(what.find(located_at(root)), 0u) << what << " width " << width;
+}
+
+/// FNV checksums of the three test artifacts as the iostream-based writer
+/// produced them. The golden check.sh artifacts are GBR only, so these are
+/// the pins on the `mat` and f32 tokens of the MLP and ConvMLP writers.
+void expect_pinned(RegressorKind kind, const char* checksum) {
+  const std::string& artifact = reference_artifact(kind);
+  EXPECT_EQ(artifact.substr(artifact.rfind("checksum ")),
+            std::string("checksum ") + checksum + "\n");
+}
+
+TEST(ModelArtifact, ArtifactBytesArePinnedGbr) {
+  expect_pinned(RegressorKind::kGbr, "e942d9bee6489647");
+}
+
+TEST(ModelArtifact, ArtifactBytesArePinnedMlp) {
+  expect_pinned(RegressorKind::kMlp, "f4ec8a5cc3762d5a");
+}
+
+TEST(ModelArtifact, ArtifactBytesArePinnedConvMlp) {
+  expect_pinned(RegressorKind::kConvMlp, "3a8186e311052779");
 }
 
 TEST(ModelArtifact, InspectModelReportsVersionAndChecksum) {
@@ -289,6 +469,22 @@ TEST(ModelArtifact, InspectModelReportsVersionAndChecksum) {
   const ModelArtifactInfo from_file = inspect_model(path);
   EXPECT_EQ(from_file.version, info.version);
   EXPECT_EQ(from_file.checksum, info.checksum);
+  std::remove(path.c_str());
+}
+
+TEST(ModelArtifact, LoadReportsTheEnvelopeOfWhatItLoaded) {
+  // The serve provider takes version and checksum from the load itself:
+  // one read, one hash, and the metadata of exactly the bytes it parsed.
+  const std::string path = testing::TempDir() + "smart_load_info_test.smart";
+  save_model(trained_mart(RegressorKind::kGbr), path);
+  ModelArtifactInfo info;
+  const StencilMart loaded = load_model(path, info);
+  EXPECT_TRUE(loaded.trained());
+  const ModelArtifactInfo inspected = inspect_model(path);
+  EXPECT_EQ(info.version, inspected.version);
+  EXPECT_EQ(info.checksum, inspected.checksum);
+  EXPECT_EQ(info.checksum, reference_artifact().substr(
+                               reference_artifact().rfind("checksum ") + 9, 16));
   std::remove(path.c_str());
 }
 
@@ -351,6 +547,166 @@ TEST(ModelArtifact, TrainFromCorpusUsesMeasuredTimes) {
     const OcAdvice advice = mart.advise(mutated.stencils[s], "V100");
     EXPECT_EQ(advice.group, fast_group);
   }
+}
+
+/// One seeded edit of the kinds a damaged or hand-edited artifact shows.
+void mutate(std::string& text, util::Rng& rng) {
+  if (text.empty()) {
+    text.push_back(static_cast<char>(rng.uniform_int(0, 255)));
+    return;
+  }
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const std::size_t at = pick(text.size());
+  // The line holding byte `at`: [begin, end), end at its '\n' or the end.
+  const std::size_t begin = at == 0 ? 0 : text.rfind('\n', at - 1) + 1;
+  const std::size_t end = std::min(text.find('\n', at), text.size());
+  // The next whole token at or after `at` that `is_kind` accepts, replaced
+  // by one of `spellings`.
+  const auto respell = [&](auto is_kind, const auto& spellings) {
+    for (std::size_t i = at; i < text.size();) {
+      const std::size_t stop =
+          std::min(text.find_first_of(" \n", i), text.size());
+      if (stop > i && (i == 0 || text[i - 1] == ' ' || text[i - 1] == '\n') &&
+          is_kind(std::string_view(text).substr(i, stop - i))) {
+        text.replace(i, stop - i, spellings[pick(std::size(spellings))]);
+        return;
+      }
+      i = stop + 1;
+    }
+  };
+  switch (rng.uniform_int(0, 7)) {
+    case 0:  // byte flip
+      text[at] = static_cast<char>(rng.uniform_int(0, 255));
+      break;
+    case 1: {  // digit edit
+      const char digit = static_cast<char>('0' + rng.uniform_int(0, 9));
+      const std::size_t d = text.find_first_of("0123456789", at);
+      if (d == std::string::npos) {
+        text.insert(at, 1, digit);
+      } else {
+        text[d] = digit;
+      }
+      break;
+    }
+    case 2: {  // token deletion
+      std::vector<std::pair<std::size_t, std::size_t>> tokens;
+      for (std::size_t i = begin; i < end;) {
+        const std::size_t stop = std::min(text.find(' ', i), end);
+        if (stop > i) tokens.emplace_back(i, stop);
+        i = stop + 1;
+      }
+      if (tokens.empty()) break;
+      const auto [first, last] = tokens[pick(tokens.size())];
+      const std::size_t from = first > begin ? first - 1 : first;
+      text.erase(from, last - from);
+      break;
+    }
+    case 3:  // line duplication
+      text.insert(begin, text.substr(begin, end - begin) + '\n');
+      break;
+    case 4:  // line deletion
+      text.erase(begin, end - begin + 1);
+      break;
+    case 5:  // truncation
+      text.resize(at);
+      break;
+    case 6: {  // a number respelled: extremes, subnormals, decimals
+      static const char* const kNumbers[] = {
+          "0x1p+1023", "-0x0p+0", "0x0.0000000000001p-1022", "0x1p-1080",
+          "-0x1.fffffffffffffp+1023", "1e-300", "-2.5", "7", "nan", "inf"};
+      respell(
+          [](std::string_view t) {
+            return t.find("0x") != std::string_view::npos;
+          },
+          kNumbers);
+      break;
+    }
+    default: {  // an integer (a count, index or feature) respelled
+      static const char* const kCounts[] = {
+          "0", "1", "2", "7", "100000000", "1000000000000000000",
+          "18446744073709551616", "-1", "+3", "3x", ""};
+      respell(
+          [](std::string_view t) {
+            return std::all_of(t.begin(), t.end(),
+                               [](char c) { return c >= '0' && c <= '9'; });
+          },
+          kCounts);
+      break;
+    }
+  }
+}
+
+/// The payload byte count an artifact declares (0 when it has none).
+std::size_t declared_payload_size(const std::string& artifact) {
+  const std::size_t line = artifact.find("\npayload ");
+  if (line == std::string::npos) return 0;
+  return std::strtoull(artifact.c_str() + line + 9, nullptr, 10);
+}
+
+/// True for an envelope error, or for "<source>: payload byte offset N: "
+/// with N inside a payload of `payload_size` bytes.
+bool located(const std::string& what, std::size_t payload_size) {
+  if (what.rfind("load_model", 0) == 0) return true;
+  const std::string prefix = "fuzz.smart: payload byte offset ";
+  if (what.rfind(prefix, 0) != 0) return false;
+  std::size_t i = prefix.size();
+  std::size_t offset = 0;
+  const std::size_t digits_from = i;
+  while (i < what.size() && what[i] >= '0' && what[i] <= '9') {
+    offset = offset * 10 + static_cast<std::size_t>(what[i++] - '0');
+  }
+  return i > digits_from && offset <= payload_size &&
+         what.compare(i, 2, ": ") == 0;
+}
+
+TEST(ModelArtifact, MutationFuzzFailsLocatedOrRoundTrips) {
+  // Every mutant of a GBR and an MLP artifact, with its envelope resealed
+  // around the edited payload or left as edited, either fails with a
+  // located std::runtime_error, or loads into a model that serves (every
+  // per-GPU classifier and the regressor run on one stencil) and whose
+  // save -> load -> save is byte-stable. No other exception may escape.
+  const util::SerialSection serial;
+  util::Rng rng(20261018);
+  int accepted = 0;
+  int rejected = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    const RegressorKind kind =
+        iter % 2 == 0 ? RegressorKind::kGbr : RegressorKind::kMlp;
+    const bool resealed = iter % 4 < 3;
+    const std::string& artifact = splitting_artifact(kind);
+    std::string text = resealed ? payload_of(artifact) : artifact;
+    mutate(text, rng);
+    if (rng.bernoulli(0.25)) mutate(text, rng);
+    if (resealed) text = reseal(text);
+    std::optional<StencilMart> loaded;
+    try {
+      std::stringstream in(text);
+      loaded.emplace(load_model(in, "fuzz.smart"));
+    } catch (const std::runtime_error& e) {
+      ASSERT_TRUE(located(e.what(), declared_payload_size(text)))
+          << "mutant " << iter << ": " << e.what();
+      ++rejected;
+      continue;
+    } catch (const std::exception& e) {
+      FAIL() << "mutant " << iter << " escaped as a non-runtime_error: "
+             << e.what();
+    }
+    const auto pattern = stencil::make_star(loaded->config().profile.dims, 1);
+    for (const auto& gpu : loaded->dataset().gpus) {
+      ASSERT_NO_THROW(loaded->advise(pattern, gpu.name)) << "mutant " << iter;
+    }
+    const std::string once = saved(*loaded);
+    std::stringstream again(once);
+    ASSERT_EQ(saved(load_model(again, "resaved.smart")), once)
+        << "mutant " << iter;
+    ++accepted;
+  }
+  // Both outcomes are common, so neither half of the contract is vacuous.
+  EXPECT_GT(accepted, 200);
+  EXPECT_GT(rejected, 200);
 }
 
 // --- parallel label: the same round-trip contracts at default threads. ---

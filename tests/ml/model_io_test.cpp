@@ -1,13 +1,12 @@
 // Persistence round trips for every ml-layer building block used by the
 // model artifact (core/serialize): Matrix, MaxAbsScaler, GBDT ensembles and
 // the neural wrappers. Each loaded model must predict bit-identically to
-// the one that was saved; malformed streams must throw instead of loading a
+// the one that was saved; malformed input must throw instead of loading a
 // silently-wrong model.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -15,6 +14,7 @@
 #include "ml/gbdt.hpp"
 #include "ml/models.hpp"
 #include "util/rng.hpp"
+#include "util/serialize_io.hpp"
 
 namespace smart::ml {
 namespace {
@@ -60,9 +60,10 @@ void make_labels(const Matrix& x, std::vector<int>& labels, int classes) {
 
 TEST(ModelIo, MatrixRoundTripIsBitExact) {
   const Matrix original = random_matrix(7, 5, 11);
-  std::stringstream buffer;
+  util::TokenWriter buffer;
   original.save(buffer);
-  const Matrix loaded = Matrix::load(buffer);
+  util::TokenReader in(buffer.view());
+  const Matrix loaded = Matrix::load(in);
   ASSERT_EQ(loaded.rows(), original.rows());
   ASSERT_EQ(loaded.cols(), original.cols());
   for (std::size_t r = 0; r < original.rows(); ++r) {
@@ -73,27 +74,28 @@ TEST(ModelIo, MatrixRoundTripIsBitExact) {
 }
 
 TEST(ModelIo, MatrixRejectsBadTag) {
-  std::stringstream buffer("xirtam 2 2\n0 0 0 0\n");
-  EXPECT_THROW(Matrix::load(buffer), std::runtime_error);
+  util::TokenReader in("xirtam 2 2\n0 0 0 0\n");
+  EXPECT_THROW(Matrix::load(in), std::runtime_error);
 }
 
 TEST(ModelIo, MatrixRejectsNanElement) {
-  std::stringstream buffer("mat 1 1\nnan\n");
-  EXPECT_THROW(Matrix::load(buffer), std::runtime_error);
+  util::TokenReader in("mat 1 1\nnan\n");
+  EXPECT_THROW(Matrix::load(in), std::runtime_error);
 }
 
 TEST(ModelIo, MatrixRejectsTruncatedStream) {
-  std::stringstream buffer("mat 2 2\n0x1p+0 0x1p+1\n");
-  EXPECT_THROW(Matrix::load(buffer), std::runtime_error);
+  util::TokenReader in("mat 2 2\n0x1p+0 0x1p+1\n");
+  EXPECT_THROW(Matrix::load(in), std::runtime_error);
 }
 
 TEST(ModelIo, ScalerRoundTripIsBitExact) {
   MaxAbsScaler scaler;
   const Matrix x = random_matrix(20, 6, 13);
   scaler.fit(x);
-  std::stringstream buffer;
+  util::TokenWriter buffer;
   scaler.save(buffer);
-  const MaxAbsScaler loaded = MaxAbsScaler::load(buffer);
+  util::TokenReader in(buffer.view());
+  const MaxAbsScaler loaded = MaxAbsScaler::load(in);
   ASSERT_EQ(loaded.scales().size(), scaler.scales().size());
   for (std::size_t c = 0; c < scaler.scales().size(); ++c) {
     expect_bitwise(loaded.scales()[c], scaler.scales()[c]);
@@ -118,9 +120,10 @@ TEST(ModelIo, GbdtRegressorRoundTripPredictsBitIdentically) {
   GbdtRegressor original(params);
   original.fit(x, y);
 
-  std::stringstream buffer;
+  util::TokenWriter buffer;
   original.save(buffer);
-  const GbdtRegressor loaded = GbdtRegressor::load(buffer);
+  util::TokenReader in(buffer.view());
+  const GbdtRegressor loaded = GbdtRegressor::load(in, x.cols());
   const auto a = original.predict(x);
   const auto b = loaded.predict(x);
   ASSERT_EQ(a.size(), b.size());
@@ -140,9 +143,10 @@ TEST(ModelIo, GbdtClassifierRoundTripPredictsBitIdentically) {
   GbdtClassifier original(params);
   original.fit(x, labels, classes);
 
-  std::stringstream buffer;
+  util::TokenWriter buffer;
   original.save(buffer);
-  const GbdtClassifier loaded = GbdtClassifier::load(buffer);
+  util::TokenReader in(buffer.view());
+  const GbdtClassifier loaded = GbdtClassifier::load(in, x.cols());
   EXPECT_EQ(loaded.num_classes(), classes);
   const auto a = original.predict(x);
   const auto b = loaded.predict(x);
@@ -165,9 +169,10 @@ TEST(ModelIo, FcNetClassifierRoundTripPredictsIdentically) {
   NnClassifier original(make_fcnet(x.cols(), 3, 2, 16, rng), tc);
   original.fit(x, labels);
 
-  std::stringstream buffer;
+  util::TokenWriter buffer;
   original.save(buffer);
-  NnClassifier loaded = NnClassifier::load(buffer);
+  util::TokenReader in(buffer.view());
+  NnClassifier loaded = NnClassifier::load(in);
   EXPECT_EQ(loaded.predict(x), original.predict(x));
 }
 
@@ -182,9 +187,10 @@ TEST(ModelIo, ConvNetClassifierRoundTripPredictsIdentically) {
   NnClassifier original(make_convnet(2, 4, 2, rng), tc);
   original.fit(x, labels);
 
-  std::stringstream buffer;
+  util::TokenWriter buffer;
   original.save(buffer);
-  NnClassifier loaded = NnClassifier::load(buffer);
+  util::TokenReader in(buffer.view());
+  NnClassifier loaded = NnClassifier::load(in);
   EXPECT_EQ(loaded.predict(x), original.predict(x));
 }
 
@@ -198,9 +204,10 @@ TEST(ModelIo, MlpRegressorRoundTripPredictsBitIdentically) {
   NnRegressor original(make_mlp(x.cols(), 2, 16, rng), tc);
   original.fit(x, y);
 
-  std::stringstream buffer;
+  util::TokenWriter buffer;
   original.save(buffer);
-  NnRegressor loaded = NnRegressor::load(buffer);
+  util::TokenReader in(buffer.view());
+  NnRegressor loaded = NnRegressor::load(in);
   const auto a = original.predict(x);
   const auto b = loaded.predict(x);
   ASSERT_EQ(a.size(), b.size());
@@ -219,9 +226,10 @@ TEST(ModelIo, ConvMlpRegressorRoundTripPredictsBitIdentically) {
   ConvMlpRegressor original(2, 4, aux.cols(), tc);
   original.fit(tensors, aux, y);
 
-  std::stringstream buffer;
+  util::TokenWriter buffer;
   original.save(buffer);
-  ConvMlpRegressor loaded = ConvMlpRegressor::load(buffer);
+  util::TokenReader in(buffer.view());
+  ConvMlpRegressor loaded = ConvMlpRegressor::load(in);
   const auto a = original.predict(tensors, aux);
   const auto b = loaded.predict(tensors, aux);
   ASSERT_EQ(a.size(), b.size());
@@ -236,8 +244,8 @@ TEST(ModelIo, ConvMlpRegressorRoundTripPredictsBitIdentically) {
 }
 
 TEST(ModelIo, SequentialRejectsUnknownLayerTag) {
-  std::stringstream buffer("net 1\nblorp\n");
-  EXPECT_THROW(Sequential::load(buffer), std::runtime_error);
+  util::TokenReader in("net 1\nblorp\n");
+  EXPECT_THROW(Sequential::load(in), std::runtime_error);
 }
 
 TEST(ModelIo, TrainConfigRoundTrip) {
@@ -248,9 +256,10 @@ TEST(ModelIo, TrainConfigRoundTrip) {
   original.seed = 987654321;
   original.validation_fraction = 0.25;
   original.patience = 9;
-  std::stringstream buffer;
+  util::TokenWriter buffer;
   save_train_config(buffer, original);
-  const TrainConfig loaded = load_train_config(buffer);
+  util::TokenReader in(buffer.view());
+  const TrainConfig loaded = load_train_config(in);
   EXPECT_EQ(loaded.epochs, original.epochs);
   EXPECT_EQ(loaded.batch_size, original.batch_size);
   expect_bitwise(loaded.learning_rate, original.learning_rate);

@@ -35,6 +35,7 @@
 #include "ml/simd.hpp"
 #include "ml/tree.hpp"
 #include "util/rng.hpp"
+#include "util/serialize_io.hpp"
 #include "util/task_pool.hpp"
 
 namespace smart::ml {
@@ -466,9 +467,10 @@ TEST(FlatForest, LockstepSurvivesSaveLoad) {
   GbdtRegressor reg(params);
   reg.fit(x, y);
 
-  std::stringstream buf;
+  util::TokenWriter buf;
   reg.save(buf);
-  const GbdtRegressor loaded = GbdtRegressor::load(buf);
+  util::TokenReader in(buf.view());
+  const GbdtRegressor loaded = GbdtRegressor::load(in, x.cols());
   expect_regressor_matches_reference(loaded, params.learning_rate, x);
   const std::vector<double> a = reg.predict(x);
   const std::vector<double> b = loaded.predict(x);
@@ -476,9 +478,10 @@ TEST(FlatForest, LockstepSurvivesSaveLoad) {
 
   GbdtClassifier clf(params);
   clf.fit(x, make_labels(y, 4), 4);
-  std::stringstream cbuf;
+  util::TokenWriter cbuf;
   clf.save(cbuf);
-  const GbdtClassifier cloaded = GbdtClassifier::load(cbuf);
+  util::TokenReader cin(cbuf.view());
+  const GbdtClassifier cloaded = GbdtClassifier::load(cin, x.cols());
   expect_classifier_matches_reference(cloaded, params.learning_rate, x);
   EXPECT_EQ(cloaded.predict(x), clf.predict(x));
 }
@@ -542,8 +545,8 @@ TEST(FlatForest, EmptyAndSingleLeafTreesWalkInPlace) {
   GbdtRegressor reg(params);
   reg.fit(x, y);
 
-  std::stringstream leaf("tree 1 0 0\n-1 0.0 -1 -1 2.5\n");
-  const RegressionTree single = RegressionTree::load(leaf);
+  util::TokenReader leaf("tree 1 0 0\n-1 0.0 -1 -1 2.5\n");
+  const RegressionTree single = RegressionTree::load(leaf, x.cols());
   std::vector<RegressionTree> trees = reg.trees();
   trees.insert(trees.begin(), RegressionTree{});
   trees.insert(trees.begin() + 5, single);
@@ -576,8 +579,9 @@ TEST(FlatForest, DeepChainTreeWalksInLinearPool) {
     text << "-1 0.0 -1 -1 " << d + 1 << ".0\n";
   }
   text << "-1 0.0 -1 -1 1000.0\n";
-  std::istringstream in(text.str());
-  const RegressionTree chain = RegressionTree::load(in);
+  const std::string chain_text = text.str();
+  util::TokenReader in(chain_text);
+  const RegressionTree chain = RegressionTree::load(in, 3);
   ASSERT_EQ(chain.num_nodes(), static_cast<std::size_t>(2 * kDepth + 1));
 
   Matrix x;
@@ -607,12 +611,12 @@ TEST(FlatForest, BuildRejectsNonPreorderLinks) {
   // A corrupt artifact with a back-linking child (in range, so it survives
   // RegressionTree::load's dangling-link check) would cycle the pointer
   // walk; FlatForest::build must reject it instead of looping.
-  std::stringstream back(
+  util::TokenReader back(
       "tree 3 1 0\n"
       "0 0.5 0 2 0.0\n"   // root: left child links BACK to the root
       "-1 0.0 -1 -1 1.0\n"
       "-1 0.0 -1 -1 2.0\n");
-  const std::vector<RegressionTree> cyclic{RegressionTree::load(back)};
+  const std::vector<RegressionTree> cyclic{RegressionTree::load(back, 2)};
   FlatForest flat;
   EXPECT_THROW(flat.build(cyclic), std::runtime_error);
 
@@ -624,8 +628,8 @@ TEST(FlatForest, BuildRejectsNonPreorderLinks) {
       "1 0.5 3 3 0.0\n"   // both children are node 3
       "-1 0.0 -1 -1 1.0\n"
       "-1 0.0 -1 -1 2.0\n";
-  std::stringstream shared_in(shared);
-  const std::vector<RegressionTree> dag{RegressionTree::load(shared_in)};
+  util::TokenReader shared_in(shared);
+  const std::vector<RegressionTree> dag{RegressionTree::load(shared_in, 2)};
   EXPECT_THROW(flat.build(dag), std::runtime_error);
 
   // The model readers build the pool, so they refuse such a tree too.
@@ -636,11 +640,12 @@ TEST(FlatForest, BuildRejectsNonPreorderLinks) {
   params.rounds = 1;
   GbdtRegressor reg(params);
   reg.fit(x, y);
-  std::stringstream saved;
+  util::TokenWriter saved;
   reg.save(saved);
-  const std::string head = saved.str().substr(0, saved.str().find("tree "));
-  std::stringstream model(head + shared);
-  EXPECT_THROW(GbdtRegressor::load(model), std::runtime_error);
+  const std::string head(saved.view().substr(0, saved.view().find("tree ")));
+  const std::string model_text = head + shared;
+  util::TokenReader model(model_text);
+  EXPECT_THROW(GbdtRegressor::load(model, x.cols()), std::runtime_error);
 }
 
 TEST(FeatureBinner, FitRejectsNan) {

@@ -1,9 +1,9 @@
 // Strict number parsing shared by the corpus, journal and model readers:
 // parse_f64_strict must accept exactly the tokens, and produce exactly the
 // bits, of an end-pointer-validated strtod that rejects overflow. Its
-// from_chars fast path for hexfloat tokens is pinned against that strtod
-// reference on the edge cases where the two parsers differ and on random
-// spellings.
+// from_chars fast path for hexfloat tokens, positive and negative, is
+// pinned against that strtod reference on the edge cases where the two
+// parsers differ and on random spellings.
 #include "util/serialize_io.hpp"
 
 #include <gtest/gtest.h>
@@ -58,7 +58,10 @@ TEST(ParseF64Strict, AgreesWithStrtodOnEdgeTokens) {
         "0X1P+0", "-0x1p+0", "1.5", "nan", "0x1.8p+0", "0x0p+0", "0x1.p0",
         "0x.8p0", "0xAp0", "0x1P+0", "0x1p+0 ", " 0x1p+0", "0x1p+0x", "",
         "inf", "1e400", "1e-400", "0x1.fffffffffffffp+1023", "0x1p+1024",
-        "0x0.0000000000001p-1022", "0x1p-1074", "0x1p-1075", "0x1.8p-1074"}) {
+        "0x0.0000000000001p-1022", "0x1p-1074", "0x1p-1075", "0x1.8p-1074",
+        "-0x0p+0", "-0x-1p0", "--0x1p0", "-0xinf", "-0x", "-0xnan", "-0x1p",
+        "-0x1p-1080", "-0x1p+99999", "-0X1P+0", "-0x1.8p+0", " -0x1p+0",
+        "-0x1p+0 ", "-", "-0x0.0000000000001p-1022"}) {
     expect_parity(token);
   }
 }
@@ -74,6 +77,21 @@ TEST(ParseF64Strict, PrefixStrippingTrapsStayRejected) {
   ASSERT_TRUE(parse_f64_strict("0x1p-1080", v));
   EXPECT_EQ(v, 0.0);
   EXPECT_FALSE(parse_f64_strict("0x1p+99999", v));  // overflow
+  // The same traps behind a minus sign, which the negative fast path
+  // strips before it looks for the prefix.
+  v = 42.0;
+  EXPECT_FALSE(parse_f64_strict("-0x-1p0", v));
+  EXPECT_FALSE(parse_f64_strict("--0x1p0", v));
+  EXPECT_FALSE(parse_f64_strict("-0xinf", v));
+  EXPECT_FALSE(parse_f64_strict("-0x", v));
+  EXPECT_EQ(v, 42.0);
+  // Negating the parsed magnitude keeps the sign of zero.
+  ASSERT_TRUE(parse_f64_strict("-0x0p+0", v));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(v),
+            std::bit_cast<std::uint64_t>(-0.0));
+  ASSERT_TRUE(parse_f64_strict("-0x1p-1080", v));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(v),
+            std::bit_cast<std::uint64_t>(-0.0));
 }
 
 TEST(ParseF64Strict, ParsesOnlyTheViewedBytes) {
@@ -98,8 +116,9 @@ TEST(ParseF64Strict, AgreesWithStrtodOnRandomSpellings) {
   }
   static constexpr char kHex[] = "0123456789abcdefABCDEF";
   for (int i = 0; i < 20000; ++i) {
-    // Long mantissas (rounding) and exponents past both ends of the range.
-    std::string token = "0x";
+    // Long mantissas (rounding) and exponents past both ends of the range,
+    // with and without a sign.
+    std::string token = rng.bernoulli(0.5) ? "-0x" : "0x";
     token += kHex[rng.uniform_int(0, 21)];
     if (rng.bernoulli(0.7)) {
       token += '.';
