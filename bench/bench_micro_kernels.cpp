@@ -1,18 +1,22 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the library:
 // CPU reference executors, the analytic cost model, random-search tuning,
-// stencil representation, model inference, GBDT fitting and the model
-// artifact codec.
+// stencil representation, model inference, GBDT fitting, the model
+// artifact codec and the serve request path.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "core/advisor_server.hpp"
 #include "core/serialize.hpp"
+#include "core/serve_protocol.hpp"
 #include "core/stencilmart.hpp"
 #include "ml/gbdt.hpp"
 #include "ml/models.hpp"
 #include "stencil/features.hpp"
+#include "stencil/generator.hpp"
 #include "stencil/tensor_repr.hpp"
 
 namespace {
@@ -259,6 +263,45 @@ void BM_ModelLoad(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ModelLoad)->Unit(benchmark::kMillisecond);
+
+// One first-time serve request on the golden model, as the daemon runs it
+// per request of a one-request batch: parse_request, a one-item
+// advise_batch (classify, tune, predict) and the reply formatting. The
+// lines are serve_cold-style: distinct generated 2-D stencils spelled as
+// offsets=, 3 advise : 1 predict, GPUs in rotation.
+void BM_ServeRequestPath(benchmark::State& state) {
+  const core::StencilMart& mart = golden_mart();
+  static const char* const kGpus[] = {"P100", "V100", "2080Ti", "A100"};
+  const stencil::RandomStencilGenerator generator(stencil::GeneratorConfig{});
+  util::Rng rng(41);
+  std::vector<std::string> lines;
+  for (int i = 0; i < 64; ++i) {
+    std::string line = i % 4 == 3 ? "predict r" : "advise r";
+    line += std::to_string(i) + " gpu=" + kGpus[i % 4] + " offsets=";
+    const auto pattern = generator.generate(rng);
+    for (const auto& p : pattern.offsets()) {
+      if (line.back() != '=') line += ';';
+      line += std::to_string(p[0]) + ',' + std::to_string(p[1]);
+    }
+    lines.push_back(std::move(line));
+  }
+  core::AdviseBatchItem item;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const core::serve::ParseResult parsed =
+        core::serve::parse_request(lines[i]);
+    item.pattern = parsed.request.pattern;
+    item.gpu = parsed.request.gpu;
+    item.recommend = parsed.request.verb == core::serve::Verb::kAdvise;
+    const auto results = mart.advise_batch({&item, 1});
+    const std::string reply = core::serve::ok_reply(
+        parsed.request.id, core::reply_payload(item, results[0]));
+    benchmark::DoNotOptimize(reply.data());
+    i = i + 1 == lines.size() ? 0 : i + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ServeRequestPath);
 
 }  // namespace
 

@@ -588,6 +588,52 @@ if ! diff "$ARTDIR/serve_text.txt" "$ARTDIR/cli_golden.txt"; then
 fi
 echo "OK: shuffled serve replies unescape to the exact one-shot CLI bytes"
 
+echo "== serve daemon: reply bytes pinned across versions (golden 2-D artifact) =="
+# The matrices above compare a build's reply sets with each other, so a
+# formatter or parser rewrite that changed every reply alike would pass
+# them. This digest was captured from the daemon at commit 381754f (the
+# iostream formatters and the token-vector parser) serving the same
+# requests on the golden 2-D artifact: the request mix above plus offsets=
+# spellings (signs, leading zeros), predicts and error replies.
+PIN_DIGEST=530fbf5437634f42646a63fb1d3d142366c8d53a6fe7342140226db42884dea2
+SMART_THREADS=4 "$SMARTCTL" train --corpus "$ARTDIR/single.txt" \
+  --out "$ARTDIR/golden2d.smart" >/dev/null
+if [[ "$(tail -n 1 "$ARTDIR/golden2d.smart")" != "checksum 7bb481a3085b3173" ]]; then
+  echo "FAIL: the golden 2-D corpus no longer trains to the golden artifact" >&2
+  exit 1
+fi
+cp "$ARTDIR/serve_requests.txt" "$ARTDIR/pin_requests.txt"
+cat >> "$ARTDIR/pin_requests.txt" <<'REQS'
+advise p01 offsets=0,0;1,1;2,2;3,1;4,0 gpu=V100
+advise p02 offsets=-2,-1;-2,0;-1,-1;0,0;1,0;1,1;1,2;2,-1 gpu=2080Ti
+advise p03 offsets=0,0;0,1;0,2;0,3;0,4;-1,-1 gpu=P100
+advise p04 offsets=-1,0;-1,1;0,0;0,2;1,0;1,1;1,3;2,2 gpu=A100
+predict p05 offsets=-2,2;-1,1;0,-1;0,0;0,2;1,0;1,1;2,-1;2,0;2,1 gpu=P100
+predict p06 offsets=-1,0;-1,1;0,0;0,2;1,0;1,1;1,3;2,2 gpu=A100
+predict p07 offsets=+1,0;0,0;0,-01;-004,+4 gpu=V100
+predict p08 shape=box dims=2 order=3 gpu=2080Ti
+advise p09 offsets=0,0;1,1,1 gpu=V100
+advise p10 offsets=9,9 gpu=V100
+advise p11 shape=star dims=3 order=2 gpu=V100
+predict p12 offsets=0,0;1,1 gpu=H100
+REQS
+SERVE_MODEL="$ARTDIR/golden2d.smart" start_serve 4 --max-batch 8 --max-wait-us 200
+"$HARNESS" --socket "$SOCK" --requests "$ARTDIR/pin_requests.txt" \
+  --shuffle 7 --print sorted --shutdown-after > "$ARTDIR/pin_sorted.txt"
+if ! wait "$serve_pid"; then
+  echo "FAIL: daemon exited non-zero after shutdown verb" >&2
+  exit 1
+fi
+serve_pid=""
+pin_got=$(sha256sum < "$ARTDIR/pin_sorted.txt" | cut -d' ' -f1)
+echo "  $(wc -l < "$ARTDIR/pin_sorted.txt") replies, sha256 $pin_got"
+if [[ "$pin_got" != "$PIN_DIGEST" ]]; then
+  echo "FAIL: serve reply bytes differ from the pinned reply set" >&2
+  echo "      want: $PIN_DIGEST" >&2
+  exit 1
+fi
+echo "OK: the reply set matches the bytes pinned from an earlier build"
+
 echo "== serve daemon: protocol fuzz (curated malformed corpus + mutants) =="
 # Every curated malformed line must earn a one-line err reply carrying its
 # request id; seeded mutants must each earn exactly one ok/err reply. The

@@ -437,16 +437,22 @@ class ServeConnection {
       : reader_(read_fd), writer_(write_fd) {}
 
   core::AdvisorServer::Sink sink() {
-    return [this](const std::string& line) {
-      const std::lock_guard<std::mutex> lk(mu_);
-      if (dead_) return;  // the peer is gone: drop further replies quietly
-      try {
-        writer_.write_all(line + '\n');
-      } catch (...) {
-        dead_ = true;
-        error_ = std::current_exception();
-      }
-    };
+    return [this](const std::string& line) { write_reply(line); };
+  }
+
+  /// Writes one reply line plus its newline in one write, through a
+  /// buffer kept across replies.
+  void write_reply(const std::string& line) {
+    const std::lock_guard<std::mutex> lk(mu_);
+    if (dead_) return;  // the peer is gone: drop further replies quietly
+    try {
+      out_.assign(line);
+      out_ += '\n';
+      writer_.write_all(out_);
+    } catch (...) {
+      dead_ = true;
+      error_ = std::current_exception();
+    }
   }
 
   util::LineChannel& reader() { return reader_; }
@@ -468,6 +474,7 @@ class ServeConnection {
   util::LineChannel reader_;
   util::LineChannel writer_;
   std::mutex mu_;
+  std::string out_;  // the line being written (guarded by mu_)
   bool dead_ = false;
   std::exception_ptr error_;
 };
@@ -549,13 +556,15 @@ void serve_session(core::AdvisorServer& server, int fd, std::uint64_t conn_id,
   // In-flight = submitted minus replied on THIS connection; the sink
   // wrapper decrements as each reply (batched, memoized, control or shed)
   // is delivered.
-  const auto inflight = std::make_shared<std::atomic<int>>(0);
-  const auto base = conn.sink();
-  const core::AdvisorServer::Sink sink = [base,
-                                          inflight](const std::string& line) {
-    base(line);
-    inflight->fetch_sub(1, std::memory_order_acq_rel);
-  };
+  // Every exit path drains the server before `conn` and `inflight` go out
+  // of scope, so the sink may point at both; two pointers also fit the
+  // small-object buffer of the std::function each queued request copies.
+  std::atomic<int> inflight{0};
+  const core::AdvisorServer::Sink sink =
+      [c = &conn, n = &inflight](const std::string& line) {
+        c->write_reply(line);
+        n->fetch_sub(1, std::memory_order_acq_rel);
+      };
   const auto& faults = util::FaultInjector::global();
   std::string line;
   int reads = 0;
@@ -577,22 +586,24 @@ void serve_session(core::AdvisorServer& server, int fd, std::uint64_t conn_id,
       faults.inject(util::FaultSite::kRead, conn_id, reads++);
       faults.inject(util::FaultSite::kWrite, conn_id, writes++);
       if (!blank_line(line)) {
-        if (inflight->load(std::memory_order_acquire) >= limits.max_inflight) {
+        if (inflight.load(std::memory_order_acquire) >= limits.max_inflight) {
           // Per-connection cap: shed at the edge with a structured reply
           // instead of letting one pipelining client monopolize the queue.
-          base(core::serve::err_reply(line_request_id(line),
-                                      "busy (connection in-flight cap)"));
+          conn.write_reply(core::serve::err_reply(
+              line_request_id(line), "busy (connection in-flight cap)"));
           conn.rethrow_write_error();
           continue;
         }
-        inflight->fetch_add(1, std::memory_order_acq_rel);
+        inflight.fetch_add(1, std::memory_order_acq_rel);
       }
       const bool keep = server.submit(line, sink);
       conn.rethrow_write_error();
       if (!keep) {
         // This client's shutdown verb was accepted (or raced another
-        // client's): stop the whole daemon.
+        // client's): stop the whole daemon, once this client's queued
+        // requests are answered.
         g_serve_stop.store(true);
+        server.drain();
         return;
       }
     }

@@ -12,12 +12,6 @@ namespace smart::core {
 
 namespace {
 
-std::string hexfloat(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
-
 std::uint64_t elapsed_us(std::chrono::steady_clock::time_point from,
                          std::chrono::steady_clock::time_point to) {
   const auto us =
@@ -30,23 +24,84 @@ std::uint64_t elapsed_us(std::chrono::steady_clock::time_point from,
 constexpr const char* kBusyError = "busy (admission queue full)";
 constexpr const char* kDeadlineError = "deadline exceeded before execution";
 
+/// Writes the advise report into `out`, escaped onto one protocol line
+/// (serve::escape_text) when `escaped`. Names are escaped piece by piece
+/// and the numbers need no escaping, so both forms come from one pass.
+void append_report(std::string& out, const stencil::StencilPattern& pattern,
+                   const std::string& gpu, const OcAdvice& advice,
+                   const GpuRecommendation& rec, bool escaped) {
+  const auto text = [&](std::string_view piece) {
+    if (escaped) serve::append_escaped(out, piece);
+    else out += piece;
+  };
+  const std::string_view newline = escaped ? "\\n" : "\n";
+  out += "stencil ";
+  text(pattern.name());
+  out += " on ";
+  text(gpu);
+  out += ':';
+  out += newline;
+  out += "  group        ";
+  text(advice.group_name);
+  out += newline;
+  out += "  OC           ";
+  text(advice.oc.name());
+  out += newline;
+  out += "  setting      ";
+  advice.setting.append_to(out);
+  out += newline;
+  out += "  tuned time   ";
+  util::append_fixed(out, advice.expected_time_ms, 3);
+  out += " ms (simulated)";
+  out += newline;
+  out += "  model est.   ";
+  util::append_fixed(out, advice.predicted_time_ms, 3);
+  out += " ms";
+  out += newline;
+  out += "  fastest GPU  ";
+  text(rec.fastest_gpu);
+  out += newline;
+  out += "  best rental  ";
+  text(rec.cheapest_gpu);
+  out += newline;
+}
+
+/// Runs `write` on a buffer kept per thread and returns an exact-size copy:
+/// the memo keeps every payload, so it must carry no slack capacity.
+template <typename Write>
+std::string exact_string(Write&& write) {
+  thread_local std::string buffer;
+  buffer.clear();
+  write(buffer);
+  return buffer;
+}
+
 }  // namespace
 
 std::string advise_report(const stencil::StencilPattern& pattern,
                           const std::string& gpu, const OcAdvice& advice,
                           const GpuRecommendation& rec) {
-  std::string out;
-  out += "stencil " + pattern.name() + " on " + gpu + ":\n";
-  out += "  group        " + advice.group_name + '\n';
-  out += "  OC           " + advice.oc.name() + '\n';
-  out += "  setting      " + advice.setting.to_string() + '\n';
-  out += "  tuned time   " + util::format_double(advice.expected_time_ms, 3) +
-         " ms (simulated)\n";
-  out += "  model est.   " + util::format_double(advice.predicted_time_ms, 3) +
-         " ms\n";
-  out += "  fastest GPU  " + rec.fastest_gpu + '\n';
-  out += "  best rental  " + rec.cheapest_gpu + '\n';
-  return out;
+  return exact_string([&](std::string& out) {
+    append_report(out, pattern, gpu, advice, rec, /*escaped=*/false);
+  });
+}
+
+std::string reply_payload(const AdviseBatchItem& item,
+                          const AdviseBatchResult& result) {
+  return exact_string([&](std::string& out) {
+    if (item.recommend) {
+      append_report(out, item.pattern, item.gpu, result.advice, result.rec,
+                    /*escaped=*/true);
+      return;
+    }
+    char hex[48];
+    const int n = std::snprintf(hex, sizeof hex, "%a",
+                                result.advice.predicted_time_ms);
+    out += "predicted_ms=";
+    out.append(hex, static_cast<std::size_t>(n));
+    out += " ms=";
+    util::append_fixed(out, result.advice.predicted_time_ms, 3);
+  });
 }
 
 AdvisorServer::AdvisorServer(const StencilMart& mart, ServeConfig config)
@@ -289,37 +344,36 @@ void AdvisorServer::batcher_loop() {
     }
     const std::size_t take =
         std::min(queue_.size(), static_cast<std::size_t>(config_.max_batch));
-    std::vector<Pending> batch(
-        std::make_move_iterator(queue_.begin()),
-        std::make_move_iterator(queue_.begin() +
-                                static_cast<std::ptrdiff_t>(take)));
+    batch_.assign(std::make_move_iterator(queue_.begin()),
+                  std::make_move_iterator(queue_.begin() +
+                                          static_cast<std::ptrdiff_t>(take)));
     queue_.erase(queue_.begin(),
                  queue_.begin() + static_cast<std::ptrdiff_t>(take));
     busy_ = true;
     lk.unlock();
-    execute_batch(std::move(batch));
+    execute_batch(batch_);
     lk.lock();
     busy_ = false;
     if (queue_.empty()) idle_cv_.notify_all();
   }
 }
 
-void AdvisorServer::execute_batch(std::vector<Pending> batch) {
+void AdvisorServer::execute_batch(std::vector<Pending>& batch) {
   // Expired requests are shed before any model work: their reply is the
   // fixed deadline error, not a stale computation.
   if (config_.deadline_us > 0) {
     const auto now = Clock::now();
-    std::vector<Pending> kept;
-    kept.reserve(batch.size());
+    std::size_t kept = 0;
     for (auto& pending : batch) {
       if (elapsed_us(pending.enqueued, now) >
           static_cast<std::uint64_t>(config_.deadline_us)) {
         shed(pending, /*deadline=*/true);
       } else {
-        kept.push_back(std::move(pending));
+        if (&batch[kept] != &pending) batch[kept] = std::move(pending);
+        ++kept;
       }
     }
-    batch = std::move(kept);
+    batch.erase(batch.begin() + static_cast<std::ptrdiff_t>(kept), batch.end());
     if (batch.empty()) return;
   }
 
@@ -340,17 +394,18 @@ void AdvisorServer::execute_batch(std::vector<Pending> batch) {
     batch_epoch = epoch_.load(std::memory_order_relaxed);
   }
 
-  // Within-batch dedup + a second memo check (another batch may have
-  // computed a key between submit() and now).
-  std::unordered_map<std::string, std::size_t> unique_index;
-  std::vector<AdviseBatchItem> unique_items;
-  std::vector<const serve::Request*> unique_requests;
-  std::vector<std::size_t> pending_unique(batch.size());
-  std::vector<char> pending_done(batch.size(), 0);
+  // Within-batch dedup (a linear scan over the batch's distinct keys,
+  // hashes first) + a second memo check (another batch may have computed
+  // a key between submit() and now).
+  constexpr std::size_t kAnswered = static_cast<std::size_t>(-1);
+  std::size_t unique_count = 0;
+  unique_requests_.clear();
+  unique_hash_.clear();
+  pending_unique_.assign(batch.size(), kAnswered);
   {
     const std::lock_guard<std::mutex> lk(memo_mu_);
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      const serve::Request& request = batch[i].request;
+      serve::Request& request = batch[i].request;
       const auto hit =
           memo_epoch_ == batch_epoch ? memo_.find(request.memo_key) : memo_.end();
       if (hit != memo_.end()) {
@@ -360,68 +415,73 @@ void AdvisorServer::execute_batch(std::vector<Pending> batch) {
           ++memo_hits_;
         }
         respond(batch[i], entry.ok, entry.payload);
-        pending_done[i] = 1;
         continue;
       }
-      const auto [it, inserted] =
-          unique_index.try_emplace(request.memo_key, unique_items.size());
-      if (inserted) {
-        AdviseBatchItem item;
+      const std::size_t hash = std::hash<std::string>{}(request.memo_key);
+      std::size_t u = 0;
+      while (u < unique_count &&
+             (unique_hash_[u] != hash ||
+              unique_requests_[u]->memo_key != request.memo_key)) {
+        ++u;
+      }
+      if (u == unique_count) {
+        // Copy-assignment reuses the scratch item's pattern storage.
+        if (unique_items_.size() == unique_count) unique_items_.emplace_back();
+        AdviseBatchItem& item = unique_items_[unique_count];
         item.pattern = request.pattern;
         item.gpu = request.gpu;
         item.recommend = request.verb == serve::Verb::kAdvise;
-        unique_items.push_back(std::move(item));
-        unique_requests.push_back(&request);
+        unique_requests_.push_back(&request);
+        unique_hash_.push_back(hash);
+        ++unique_count;
       }
-      pending_unique[i] = it->second;
+      pending_unique_[i] = u;
     }
   }
-  if (unique_items.empty()) return;
+  if (unique_count == 0) {
+    batch.clear();
+    return;
+  }
 
-  std::vector<MemoEntry> replies(unique_items.size());
+  if (replies_.size() < unique_count) replies_.resize(unique_count);
   try {
     const util::PhaseTimer timer("serve.batch", batch.size());
-    const auto results = mart->advise_batch(unique_items);
-    for (std::size_t u = 0; u < results.size(); ++u) {
+    const auto results =
+        mart->advise_batch({unique_items_.data(), unique_count});
+    for (std::size_t u = 0; u < unique_count; ++u) {
       if (!results[u].ok()) {
-        replies[u] = {false, results[u].error};
+        replies_[u] = {false, results[u].error};
         continue;
       }
-      if (unique_requests[u]->verb == serve::Verb::kAdvise) {
-        replies[u] = {true, serve::escape_text(advise_report(
-                                unique_items[u].pattern, unique_items[u].gpu,
-                                results[u].advice, results[u].rec))};
-      } else {
-        replies[u] = {true,
-                      "predicted_ms=" +
-                          hexfloat(results[u].advice.predicted_time_ms) +
-                          " ms=" +
-                          util::format_double(
-                              results[u].advice.predicted_time_ms, 3)};
-      }
+      replies_[u] = {true, reply_payload(unique_items_[u], results[u])};
     }
   } catch (const std::exception& e) {
     // advise_batch reports per-item problems in-band; reaching here means a
     // systemic failure (e.g. allocation) — answer the batch, keep serving.
-    for (auto& reply : replies) reply = {false, e.what()};
+    for (std::size_t u = 0; u < unique_count; ++u) {
+      replies_[u] = {false, e.what()};
+    }
   }
 
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (pending_unique_[i] == kAnswered) continue;
+    const MemoEntry& reply = replies_[pending_unique_[i]];
+    respond(batch[i], reply.ok, reply.payload);
+  }
   {
-    const std::lock_guard<std::mutex> lk(memo_mu_);
+    // Memoized after the replies went out, so keys and payloads move in.
     // Inserts are valid only while the memo still belongs to this batch's
     // epoch; after a reload they would poison the fresh model's cache.
+    const std::lock_guard<std::mutex> lk(memo_mu_);
     if (memo_epoch_ == batch_epoch) {
-      if (memo_.size() + replies.size() > config_.memo_capacity) memo_.clear();
-      for (std::size_t u = 0; u < replies.size(); ++u) {
-        memo_.emplace(unique_requests[u]->memo_key, replies[u]);
+      if (memo_.size() + unique_count > config_.memo_capacity) memo_.clear();
+      for (std::size_t u = 0; u < unique_count; ++u) {
+        memo_.emplace(std::move(unique_requests_[u]->memo_key),
+                      std::move(replies_[u]));
       }
     }
   }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (pending_done[i]) continue;
-    const MemoEntry& reply = replies[pending_unique[i]];
-    respond(batch[i], reply.ok, reply.payload);
-  }
+  batch.clear();
 }
 
 void AdvisorServer::respond(const Pending& pending, bool ok,

@@ -71,6 +71,13 @@ std::string advise_report(const stencil::StencilPattern& pattern,
                           const std::string& gpu, const OcAdvice& advice,
                           const GpuRecommendation& rec);
 
+/// The payload of the ok reply to an answered query, formatted into one
+/// buffer: with item.recommend (an advise) the advise_report escaped onto
+/// one line, byte-equal to serve::escape_text(advise_report(...));
+/// otherwise (a predict) "predicted_ms=<%a hexfloat> ms=<3 decimals>".
+std::string reply_payload(const AdviseBatchItem& item,
+                          const AdviseBatchResult& result);
+
 struct ServeConfig {
   /// Admission batch flush thresholds: a batch executes as soon as
   /// max_batch requests are pending, or max_wait_us after the OLDEST
@@ -191,7 +198,8 @@ class AdvisorServer {
   };
 
   void batcher_loop();
-  void execute_batch(std::vector<Pending> batch);
+  /// Answers `batch` and leaves it empty (its capacity is kept).
+  void execute_batch(std::vector<Pending>& batch);
   /// Delivers a reply, records latency + served/error counters.
   void respond(const Pending& pending, bool ok, const std::string& payload);
   /// Delivers a structured shed error (fixed bytes) + counters.
@@ -232,6 +240,15 @@ class AdvisorServer {
   };
   std::unordered_map<std::string, MemoEntry> memo_;
   std::uint64_t memo_epoch_ = 1;  // epoch the memo contents belong to
+
+  // Batcher-thread scratch, reused across batches so that a batch costs
+  // no container allocations once the sizes have been seen.
+  std::vector<Pending> batch_;
+  std::vector<AdviseBatchItem> unique_items_;  // first unique_count_ used
+  std::vector<serve::Request*> unique_requests_;
+  std::vector<std::size_t> unique_hash_;       // hash of each memo key
+  std::vector<std::size_t> pending_unique_;    // per batch entry, or kAnswered
+  std::vector<MemoEntry> replies_;
 
   mutable std::mutex stats_mu_;
   util::LatencyHistogram latency_;

@@ -1,16 +1,31 @@
 #include "core/mart.hpp"
 
+#include <algorithm>
 #include <limits>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
 #include "gpusim/tuner.hpp"
 #include "stencil/features.hpp"
+#include "util/rng.hpp"
 #include "util/task_pool.hpp"
 #include "util/timing.hpp"
 
 namespace smart::core {
+
+namespace {
+
+/// Batches with fewer distinct variants than this tune on the calling
+/// thread instead of fanning out on the task pool. Measured with
+/// advise_batch on the golden 2-D model at SMART_THREADS=2 (the serve
+/// benchmark's setting) on a 4-vCPU AVX-512 host, CPU per variant fanned
+/// out vs on the calling thread: one advise (4 variants) 13.1 vs 8.2 us,
+/// two (8) 11.1 vs 8.4 us, three (12) 10.5 vs 8.2 us. A serve_cold batch
+/// holds 1-2 requests. From 16 variants on the fan-out's CPU premium is
+/// about a quarter, and the batch's latency halves in exchange.
+constexpr std::size_t kInlineTuneVariants = 16;
+
+}  // namespace
 
 StencilMart::StencilMart(MartConfig config) : config_(std::move(config)) {}
 
@@ -113,10 +128,24 @@ OcAdvice StencilMart::classify_variant(const stencil::StencilPattern& pattern,
         "StencilMart::advise: pattern dimensionality differs from the "
         "training corpus");
   }
+  std::vector<float> row(feature_width());
+  feature_row(pattern, row.data());
+  return classify_row(row, g);
+}
 
+std::size_t StencilMart::feature_width() const {
+  return 3 + 2 * static_cast<std::size_t>(config_.profile.max_order);
+}
+
+void StencilMart::feature_row(const stencil::StencilPattern& pattern,
+                              float* out) const {
   const auto fv = stencil::extract_features(pattern, config_.profile.max_order)
                       .to_vector();
-  const std::vector<float> row(fv.begin(), fv.end());
+  std::copy(fv.begin(), fv.end(), out);
+}
+
+OcAdvice StencilMart::classify_row(std::span<const float> row,
+                                   std::size_t g) const {
   OcAdvice advice;
   advice.group = classifiers_[g].predict_row(row);
   advice.group_name = merger_.group_name(advice.group);
@@ -161,37 +190,44 @@ std::vector<AdviseBatchResult> StencilMart::advise_batch(
 
   // Distinct (stencil, GPU) variants needed by the batch: each is
   // classified + tuned exactly once, however many items reference it.
+  // Each job reads the feature row of the item that first asked for it.
   struct VariantJob {
     const stencil::StencilPattern* pattern = nullptr;
     std::size_t g = 0;
+    std::size_t item = 0;
     OcAdvice advice{};
     std::string error;
   };
+  std::size_t max_jobs = 0;
+  for (const AdviseBatchItem& item : items) {
+    max_jobs += item.recommend ? num_gpus : 1;
+  }
   std::vector<VariantJob> jobs;
-  std::map<std::string, std::size_t> job_index;
-  const auto job_for = [&](const stencil::StencilPattern& pattern,
+  jobs.reserve(max_jobs);
+  // Open-addressing table of job indices, keyed by (pattern hash, GPU) and
+  // confirmed by comparing the patterns; at most half full.
+  constexpr std::size_t kNoJob = static_cast<std::size_t>(-1);
+  std::size_t table_size = 16;
+  while (table_size < 2 * max_jobs) table_size *= 2;
+  std::vector<std::size_t> table(table_size, kNoJob);
+  const auto job_for = [&](std::size_t item, std::uint64_t pattern_hash,
                            std::size_t g) {
-    std::string key = std::to_string(g);
-    key += '|';
-    key += std::to_string(pattern.dims());
-    for (const auto& p : pattern.offsets()) {
-      for (int a = 0; a < stencil::kMaxDims; ++a) {
-        key += ',';
-        key += std::to_string(p[a]);
-      }
+    const stencil::StencilPattern& pattern = items[item].pattern;
+    std::size_t slot = util::hash_combine(pattern_hash, g) & (table_size - 1);
+    for (;; slot = (slot + 1) & (table_size - 1)) {
+      const std::size_t j = table[slot];
+      if (j == kNoJob) break;
+      if (jobs[j].g == g && *jobs[j].pattern == pattern) return j;
     }
-    const auto [it, inserted] = job_index.try_emplace(key, jobs.size());
-    if (inserted) jobs.push_back(VariantJob{&pattern, g, {}, {}});
-    return it->second;
+    table[slot] = jobs.size();
+    jobs.push_back(VariantJob{&pattern, g, item, {}, {}});
+    return jobs.size() - 1;
   };
 
-  struct ItemPlan {
-    bool valid = false;
-    bool recommend = false;
-    std::size_t own_job = 0;
-    std::vector<std::size_t> rec_jobs;  // one per GPU, in GPU order
-  };
-  std::vector<ItemPlan> plans(items.size());
+  // Per item: its own job, then (recommend only) one job per GPU in GPU
+  // order, stored flat at rec_jobs[i * num_gpus + g].
+  std::vector<std::size_t> own_job(items.size(), kNoJob);
+  std::vector<std::size_t> rec_jobs;
   for (std::size_t i = 0; i < items.size(); ++i) {
     const AdviseBatchItem& item = items[i];
     if (item.pattern.dims() != config_.profile.dims) {
@@ -213,14 +249,12 @@ std::vector<AdviseBatchResult> StencilMart::advise_batch(
       results[i].error = "StencilMart: unknown GPU " + item.gpu;
       continue;
     }
-    ItemPlan& plan = plans[i];
-    plan.valid = true;
-    plan.recommend = item.recommend;
-    plan.own_job = job_for(item.pattern, g);
+    const std::uint64_t pattern_hash = item.pattern.hash();
+    own_job[i] = job_for(i, pattern_hash, g);
     if (item.recommend) {
-      plan.rec_jobs.reserve(num_gpus);
+      if (rec_jobs.empty()) rec_jobs.assign(items.size() * num_gpus, kNoJob);
       for (std::size_t c = 0; c < num_gpus; ++c) {
-        plan.rec_jobs.push_back(job_for(item.pattern, c));
+        rec_jobs[i * num_gpus + c] = job_for(i, pattern_hash, c);
       }
     }
   }
@@ -229,21 +263,40 @@ std::vector<AdviseBatchResult> StencilMart::advise_batch(
     const util::PhaseTimer timer("advisor.batch_tune", jobs.size());
     {
       // One classifier walk per variant is a few microseconds: a serial
-      // pass costs less than a pool hand-off.
+      // pass costs less than a pool hand-off. Features are extracted once
+      // per item, not once per GPU; an item whose extraction throws passes
+      // the message to each of its jobs.
       const util::PhaseTimer classify("advisor.classify", jobs.size());
-      for (VariantJob& job : jobs) {
+      const std::size_t width = feature_width();
+      std::vector<float> rows(items.size() * width);
+      std::vector<std::string> row_error;  // sized at the first failure
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        if (own_job[i] == kNoJob) continue;
         try {
-          job.advice = classify_variant(*job.pattern, job.g);
+          feature_row(items[i].pattern, rows.data() + i * width);
+        } catch (const std::exception& e) {
+          row_error.resize(items.size());
+          row_error[i] = e.what();
+        }
+      }
+      for (VariantJob& job : jobs) {
+        if (!row_error.empty() && !row_error[job.item].empty()) {
+          job.error = row_error[job.item];
+          continue;
+        }
+        try {
+          job.advice =
+              classify_row({rows.data() + job.item * width, width}, job.g);
         } catch (const std::exception& e) {
           job.error = e.what();
         }
       }
     }
     // Tuning dominates the batch cost; jobs are independent and their RNG
-    // is derived from (pattern hash, GPU), so the fan-out is order- and
-    // thread-count-invariant.
+    // is derived from (pattern hash, GPU), so the result is order- and
+    // thread-count-invariant. Small batches tune on this thread.
     const util::PhaseTimer tune("advisor.tune", jobs.size());
-    util::parallel_for(jobs.size(), [&](std::size_t j) {
+    const auto tune_job = [&](std::size_t j) {
       VariantJob& job = jobs[j];
       if (!job.error.empty()) return;
       try {
@@ -251,47 +304,48 @@ std::vector<AdviseBatchResult> StencilMart::advise_batch(
       } catch (const std::exception& e) {
         job.error = e.what();
       }
-    });
+    };
+    if (jobs.size() < kInlineTuneVariants) {
+      for (std::size_t j = 0; j < jobs.size(); ++j) tune_job(j);
+    } else {
+      util::parallel_for(jobs.size(), tune_job);
+    }
   }
 
-  // ONE batched regression call for every prediction the batch needs.
-  const auto problem_for = [](const stencil::StencilPattern& p) {
-    return gpusim::ProblemSize::paper_default(p.dims());
-  };
+  // ONE batched regression call for every prediction the batch needs, in
+  // job order over the jobs without an error.
   std::vector<VariantQuery> queries;
-  std::vector<std::size_t> query_job;
   queries.reserve(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    if (!jobs[j].error.empty()) continue;
+  for (const VariantJob& job : jobs) {
+    if (!job.error.empty()) continue;
     queries.push_back(
-        {jobs[j].pattern, problem_for(*jobs[j].pattern),
-         static_cast<std::size_t>(gpusim::oc_index(jobs[j].advice.oc)),
-         jobs[j].advice.setting, jobs[j].g});
-    query_job.push_back(j);
+        {job.pattern, gpusim::ProblemSize::paper_default(job.pattern->dims()),
+         static_cast<std::size_t>(gpusim::oc_index(job.advice.oc)),
+         job.advice.setting, job.g});
   }
   if (!queries.empty()) {
     const std::vector<double> predicted = regression_->predict_variants(queries);
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      jobs[query_job[q]].advice.predicted_time_ms = predicted[q];
+    std::size_t q = 0;
+    for (VariantJob& job : jobs) {
+      if (job.error.empty()) job.advice.predicted_time_ms = predicted[q++];
     }
   }
 
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (!results[i].error.empty()) continue;
-    const ItemPlan& plan = plans[i];
     AdviseBatchResult& out = results[i];
-    const VariantJob& own = jobs[plan.own_job];
+    const VariantJob& own = jobs[own_job[i]];
     if (!own.error.empty()) {
       out.error = own.error;
       continue;
     }
     out.advice = own.advice;
-    if (!plan.recommend) continue;
+    if (!items[i].recommend) continue;
     // Same fold as recommend_gpu(), over the same per-GPU advised variants.
     double best_time = std::numeric_limits<double>::infinity();
     double best_cost = std::numeric_limits<double>::infinity();
     for (std::size_t g = 0; g < num_gpus && out.error.empty(); ++g) {
-      const VariantJob& job = jobs[plan.rec_jobs[g]];
+      const VariantJob& job = jobs[rec_jobs[i * num_gpus + g]];
       if (!job.error.empty()) {
         out.error = job.error;  // recommend_gpu() would have thrown here
         break;

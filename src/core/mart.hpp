@@ -93,8 +93,9 @@ class StencilMart {
 
   /// Batched advise + recommend: classification and tuning run once per
   /// distinct (stencil, GPU) variant across the whole batch (classification
-  /// in one pass on the calling thread, tuning parallel on the task pool;
-  /// timing phases advisor.classify and advisor.tune inside
+  /// in one pass on the calling thread; tuning parallel on the task pool,
+  /// or on the calling thread when the batch has fewer than 16 distinct
+  /// variants; timing phases advisor.classify and advisor.tune inside
   /// advisor.batch_tune), and every regression estimate of the batch is
   /// funnelled through ONE predict_variants call. Each result is
   /// bit-identical to the per-item advise()/recommend_gpu() pair — batching
@@ -130,6 +131,12 @@ class StencilMart {
   /// members when the representative never runs.
   OcAdvice classify_variant(const stencil::StencilPattern& pattern,
                             std::size_t g) const;
+  /// classify_variant's halves: the pattern's classifier row (Table II
+  /// features narrowed to float, feature_width() of them), and GPU g's
+  /// classification of such a row.
+  std::size_t feature_width() const;
+  void feature_row(const stencil::StencilPattern& pattern, float* out) const;
+  OcAdvice classify_row(std::span<const float> row, std::size_t g) const;
   void tune_variant(const stencil::StencilPattern& pattern, std::size_t g,
                     OcAdvice& advice) const;
 

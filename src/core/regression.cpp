@@ -149,8 +149,7 @@ std::vector<double> RegressionTask::predict_variants(
     if (include_sf) {
       const auto sf =
           stencil::extract_features(*p, dataset_->config.max_order).to_vector();
-      e.features.reserve(sf.size());
-      for (double v : sf) e.features.push_back(static_cast<float>(v));
+      e.features.assign(sf.begin(), sf.end());
     }
     if (want_tensor) {
       e.tensor =
@@ -181,12 +180,12 @@ std::vector<double> RegressionTask::predict_variants(
       }
       const auto of = cache_.oc_flags(q.oc);
       dst = std::copy(of.begin(), of.end(), dst);
-      for (double v : q.setting.to_feature_vector()) {
+      for (double v : q.setting.feature_array()) {
         *dst++ = static_cast<float>(v);
       }
       const auto gf = cache_.gpu_features(q.gpu);
       dst = std::copy(gf.begin(), gf.end(), dst);
-      for (double v : q.problem.feature_vector()) {
+      for (double v : q.problem.feature_array()) {
         *dst++ = static_cast<float>(v);
       }
       if (want_tensor) {
@@ -384,10 +383,12 @@ void RegressionTask::load_fitted(util::TokenReader& in) {
     gbr_ = std::make_unique<ml::GbdtRegressor>(
         ml::GbdtRegressor::load(in, cache_.aux_dim(true)));
   } else if (kind == RegressorKind::kMlp) {
-    mlp_ = std::make_unique<ml::NnRegressor>(ml::NnRegressor::load(in));
+    mlp_ = std::make_unique<ml::NnRegressor>(
+        ml::NnRegressor::load(in, cache_.aux_dim(true)));
   } else {
-    convmlp_ =
-        std::make_unique<ml::ConvMlpRegressor>(ml::ConvMlpRegressor::load(in));
+    convmlp_ = std::make_unique<ml::ConvMlpRegressor>(
+        ml::ConvMlpRegressor::load(in, cache_.tensor_dim(),
+                                   cache_.aux_dim(false)));
   }
   aux_scaler_ = std::move(scaler);
   fitted_kind_ = kind;

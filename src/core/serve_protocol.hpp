@@ -69,10 +69,13 @@ ParseResult parse_request(std::string_view line);
 /// sequences and a trailing lone backslash pass through unchanged).
 std::string escape_text(std::string_view text);
 std::string unescape_text(std::string_view text);
+/// Appends escape_text(text) to `out`.
+void append_escaped(std::string& out, std::string_view text);
 
-/// Reply builders. err_reply flattens control bytes in `message` to spaces
-/// so the reply is always exactly one line.
-std::string ok_reply(const std::string& id, const std::string& payload);
-std::string err_reply(const std::string& id, const std::string& message);
+/// Reply builders, each formatting its line into one buffer. err_reply
+/// flattens control bytes in `message` to spaces so the reply is always
+/// exactly one line.
+std::string ok_reply(std::string_view id, std::string_view payload);
+std::string err_reply(std::string_view id, std::string_view message);
 
 }  // namespace smart::core::serve

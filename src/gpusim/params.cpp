@@ -1,37 +1,48 @@
 #include "gpusim/params.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace smart::gpusim {
 
 namespace {
 
+using namespace param_values;
+
 constexpr int kMinThreads = 128;
 constexpr int kMaxThreads = 1024;
-
-const std::vector<int> kBlockX{16, 32, 64, 128};
-const std::vector<int> kBlockY{4, 8, 16, 32};
-const std::vector<int> kMerge{2, 4, 8};
-const std::vector<int> kUnroll{1, 2, 4};
-const std::vector<int> kStreamTile{64, 128, 256, 512};
-const std::vector<int> kTbDepth{2, 4};
 
 bool is_pow2(int x) { return x > 0 && (x & (x - 1)) == 0; }
 
 double log2d(int x) { return std::log2(static_cast<double>(x)); }
 
-bool contains(const std::vector<int>& xs, int v) {
+bool contains(std::span<const int> xs, int v) {
   for (int x : xs) {
     if (x == v) return true;
   }
   return false;
 }
 
+template <std::size_t N>
+int pick(util::Rng& rng, const std::array<int, N>& values) {
+  return rng.pick(std::span<const int>(values));
+}
+
+void append_int(std::string& out, int value) {
+  char buf[16];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
+}
+
 }  // namespace
 
 std::vector<double> ParamSetting::to_feature_vector() const {
+  const auto features = feature_array();
+  return {features.begin(), features.end()};
+}
+
+std::array<double, ParamSetting::kNumFeatures> ParamSetting::feature_array()
+    const noexcept {
   return {log2d(block_x),
           log2d(block_y),
           log2d(merge_factor),
@@ -67,14 +78,37 @@ std::uint64_t ParamSetting::hash() const noexcept {
 }
 
 std::string ParamSetting::to_string() const {
-  std::ostringstream os;
-  os << "b" << block_x << "x" << block_y;
-  if (merge_factor > 1) os << " m" << merge_factor << "@d" << merge_dim;
-  if (unroll > 1) os << " u" << unroll;
-  if (stream_tile > 0) os << " st" << stream_tile << "@d" << stream_dim;
-  os << (use_smem ? " smem" : " nosmem");
-  if (tb_depth > 1) os << " tb" << tb_depth;
-  return os.str();
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void ParamSetting::append_to(std::string& out) const {
+  out += 'b';
+  append_int(out, block_x);
+  out += 'x';
+  append_int(out, block_y);
+  if (merge_factor > 1) {
+    out += " m";
+    append_int(out, merge_factor);
+    out += "@d";
+    append_int(out, merge_dim);
+  }
+  if (unroll > 1) {
+    out += " u";
+    append_int(out, unroll);
+  }
+  if (stream_tile > 0) {
+    out += " st";
+    append_int(out, stream_tile);
+    out += "@d";
+    append_int(out, stream_dim);
+  }
+  out += use_smem ? " smem" : " nosmem";
+  if (tb_depth > 1) {
+    out += " tb";
+    append_int(out, tb_depth);
+  }
 }
 
 ParamSpace::ParamSpace(OptCombination oc, int dims) : oc_(oc), dims_(dims) {
@@ -125,21 +159,21 @@ ParamSetting ParamSpace::random_setting(util::Rng& rng) const {
   const bool merging = oc_.bm || oc_.cm;
   for (int attempt = 0; attempt < 1000; ++attempt) {
     ParamSetting s;
-    s.block_x = rng.pick(kBlockX);
-    s.block_y = rng.pick(kBlockY);
+    s.block_x = pick(rng, kBlockX);
+    s.block_y = pick(rng, kBlockY);
     s.use_smem = rng.bernoulli(0.5);
     if (merging) {
-      s.merge_factor = rng.pick(kMerge);
+      s.merge_factor = pick(rng, kMerge);
       s.merge_dim = static_cast<int>(rng.uniform_int(0, dims_ - 1));
     }
     if (oc_.st) {
       s.stream_dim = dims_ == 2
                          ? 1
                          : static_cast<int>(rng.uniform_int(1, 2));
-      s.stream_tile = rng.pick(kStreamTile);
-      s.unroll = rng.pick(kUnroll);
+      s.stream_tile = pick(rng, kStreamTile);
+      s.unroll = pick(rng, kUnroll);
     }
-    if (oc_.tb) s.tb_depth = rng.pick(kTbDepth);
+    if (oc_.tb) s.tb_depth = pick(rng, kTbDepth);
     // Fast-path acceptance: every field above is drawn from its valid list
     // (and untouched fields keep their neutral defaults), so of is_valid()'s
     // rules only the thread-count bound and the merge/stream axis clash can
@@ -186,55 +220,9 @@ std::size_t ParamSpace::size() const {
 }
 
 std::vector<ParamSetting> ParamSpace::enumerate() const {
-  const bool merging = oc_.bm || oc_.cm;
-  const std::vector<int> merges = merging ? kMerge : std::vector<int>{1};
-  std::vector<int> merge_dims;
-  if (merging) {
-    for (int d = 0; d < dims_; ++d) merge_dims.push_back(d);
-  } else {
-    merge_dims.push_back(-1);
-  }
-  const std::vector<int> unrolls = oc_.st ? kUnroll : std::vector<int>{1};
-  const std::vector<int> tiles = oc_.st ? kStreamTile : std::vector<int>{0};
-  std::vector<int> stream_dims;
-  if (oc_.st) {
-    stream_dims.push_back(1);
-    if (dims_ == 3) stream_dims.push_back(2);
-  } else {
-    stream_dims.push_back(-1);
-  }
-  const std::vector<int> tbs = oc_.tb ? kTbDepth : std::vector<int>{1};
-
   std::vector<ParamSetting> out;
-  for (int bx : kBlockX) {
-    for (int by : kBlockY) {
-      for (int m : merges) {
-        for (int md : merge_dims) {
-          for (int u : unrolls) {
-            for (int tile : tiles) {
-              for (int sd : stream_dims) {
-                for (int tb : tbs) {
-                  for (int smem = 0; smem < 2; ++smem) {
-                    ParamSetting s;
-                    s.block_x = bx;
-                    s.block_y = by;
-                    s.merge_factor = m;
-                    s.merge_dim = md;
-                    s.unroll = u;
-                    s.stream_tile = tile;
-                    s.stream_dim = sd;
-                    s.use_smem = smem != 0;
-                    s.tb_depth = tb;
-                    if (is_valid(s)) out.push_back(s);
-                  }
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  }
+  out.reserve(size());
+  for_each_setting([&out](const ParamSetting& s) { out.push_back(s); });
   return out;
 }
 

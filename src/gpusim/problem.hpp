@@ -3,6 +3,7 @@
 // to future work (Sec. V-A2); we default to the same shapes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -46,7 +47,10 @@ struct ProblemSize {
 
   /// Model-input features for the grid-size/boundary extension:
   /// log2 extents plus the boundary flag.
+  static constexpr int kNumFeatures = 4;
   std::vector<double> feature_vector() const;
+  /// The same values without a heap vector.
+  std::array<double, kNumFeatures> feature_array() const noexcept;
 };
 
 }  // namespace smart::gpusim

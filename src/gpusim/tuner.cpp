@@ -1,6 +1,6 @@
 #include "gpusim/tuner.hpp"
 
-#include <unordered_set>
+#include <algorithm>
 
 #include "util/task_pool.hpp"
 #include "util/timing.hpp"
@@ -32,20 +32,30 @@ TunedResult RandomSearchTuner::tune(const stencil::StencilPattern& pattern,
     }
   };
 
+  const std::size_t space_size = space.size();
   if (samples_per_oc_ > 0 &&
-      space.size() <= static_cast<std::size_t>(samples_per_oc_)) {
+      space_size <= static_cast<std::size_t>(samples_per_oc_)) {
     // The sampling budget covers the whole space: random draws would burn
     // most of it on duplicates (and silently try fewer distinct settings),
     // so sweep the space exhaustively in enumeration order instead. No rng
     // draws are consumed on this path.
-    for (const ParamSetting& s : space.enumerate()) try_setting(s);
+    result.measurements.reserve(space_size);
+    space.for_each_setting(try_setting);
     return result;
   }
 
-  std::unordered_set<std::uint64_t> seen;
+  // Duplicate draws are dropped by a linear scan over the hashes drawn so
+  // far (at most samples_per_oc_ of them): the decisions of a hash set,
+  // without its per-draw nodes.
+  const auto budget = static_cast<std::size_t>(std::max(samples_per_oc_, 0));
+  result.measurements.reserve(budget);
+  std::vector<std::uint64_t> seen;
+  seen.reserve(budget);
   for (int i = 0; i < samples_per_oc_; ++i) {
     const ParamSetting s = space.random_setting(rng);
-    if (!seen.insert(s.hash()).second) continue;  // duplicate draw
+    const std::uint64_t h = s.hash();
+    if (std::find(seen.begin(), seen.end(), h) != seen.end()) continue;
+    seen.push_back(h);
     try_setting(s);
   }
   return result;

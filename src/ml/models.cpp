@@ -201,10 +201,11 @@ void NnClassifier::save(util::TokenWriter& out) const {
   net_.save(out);
 }
 
-NnClassifier NnClassifier::load(util::TokenReader& in) {
+NnClassifier NnClassifier::load(util::TokenReader& in,
+                                std::size_t input_width) {
   in.expect("nncls", "NnClassifier::load");
   TrainConfig config = load_train_config(in);
-  return NnClassifier(Sequential::load(in), config);
+  return NnClassifier(Sequential::load(in, input_width), config);
 }
 
 // ----- NnRegressor -----------------------------------------------------------
@@ -261,10 +262,14 @@ void NnRegressor::save(util::TokenWriter& out) const {
   net_.save(out);
 }
 
-NnRegressor NnRegressor::load(util::TokenReader& in) {
+NnRegressor NnRegressor::load(util::TokenReader& in, std::size_t input_width) {
   in.expect("nnreg", "NnRegressor::load");
   TrainConfig config = load_train_config(in);
-  return NnRegressor(Sequential::load(in), config);
+  Sequential net = Sequential::load(in, input_width);
+  if (net.output_size(input_width) != 1) {
+    in.fail("NnRegressor::load: the net must output one value per row");
+  }
+  return NnRegressor(std::move(net), config);
 }
 
 // ----- ConvMlpRegressor -------------------------------------------------------
@@ -402,7 +407,9 @@ void ConvMlpRegressor::save(util::TokenWriter& out) const {
   head_.save(out);
 }
 
-ConvMlpRegressor ConvMlpRegressor::load(util::TokenReader& in) {
+ConvMlpRegressor ConvMlpRegressor::load(util::TokenReader& in,
+                                        std::size_t tensor_width,
+                                        std::size_t aux_width) {
   in.expect("convmlp", "ConvMlpRegressor::load");
   ConvMlpRegressor model;
   model.conv_out_ = in.size("convmlp conv_out");
@@ -411,9 +418,21 @@ ConvMlpRegressor ConvMlpRegressor::load(util::TokenReader& in) {
     in.fail("ConvMlpRegressor::load: empty branch width");
   }
   model.config_ = load_train_config(in);
-  model.conv_branch_ = Sequential::load(in);
-  model.mlp_branch_ = Sequential::load(in);
-  model.head_ = Sequential::load(in);
+  // Each branch must output the width the joint row reserves for it.
+  const auto load_branch = [&](std::size_t input_width,
+                               std::size_t output_width, const char* what) {
+    Sequential net = Sequential::load(in, input_width);
+    if (net.output_size(input_width) != output_width) {
+      in.fail(std::string("ConvMlpRegressor::load: the ") + what +
+              " outputs " + std::to_string(net.output_size(input_width)) +
+              " values per row, not " + std::to_string(output_width));
+    }
+    return net;
+  };
+  model.conv_branch_ =
+      load_branch(tensor_width, model.conv_out_, "conv branch");
+  model.mlp_branch_ = load_branch(aux_width, model.mlp_out_, "MLP branch");
+  model.head_ = load_branch(model.conv_out_ + model.mlp_out_, 1, "head");
   return model;
 }
 

@@ -55,8 +55,10 @@ class NnClassifier {
   std::vector<int> predict(const Matrix& x);
 
   /// Persists config + net; the loaded classifier predicts bit-identically.
+  /// load() rejects a net that does not take `input_width` features per row
+  /// (Sequential::load).
   void save(util::TokenWriter& out) const;
-  static NnClassifier load(util::TokenReader& in);
+  static NnClassifier load(util::TokenReader& in, std::size_t input_width);
 
  private:
   Sequential net_;
@@ -72,8 +74,10 @@ class NnRegressor {
   std::vector<double> predict(const Matrix& x);
 
   /// Persists config + net; the loaded regressor predicts bit-identically.
+  /// load() rejects a net that does not map `input_width` features per row
+  /// to one value.
   void save(util::TokenWriter& out) const;
-  static NnRegressor load(util::TokenReader& in);
+  static NnRegressor load(util::TokenReader& in, std::size_t input_width);
 
  private:
   Sequential net_;
@@ -101,9 +105,12 @@ class ConvMlpRegressor {
                                        const Matrix& aux);
 
   /// Persists config + all three branch nets; the loaded regressor predicts
-  /// bit-identically (predict and predict_gathered).
+  /// bit-identically (predict and predict_gathered). load() rejects branches
+  /// that do not take `tensor_width` tensor values and `aux_width` auxiliary
+  /// features per row, or whose outputs the head does not take.
   void save(util::TokenWriter& out) const;
-  static ConvMlpRegressor load(util::TokenReader& in);
+  static ConvMlpRegressor load(util::TokenReader& in, std::size_t tensor_width,
+                               std::size_t aux_width);
 
  private:
   ConvMlpRegressor() = default;  // deserialization shell filled by load()

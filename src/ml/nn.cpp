@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "ml/simd.hpp"
@@ -480,17 +481,51 @@ void Sequential::save(util::TokenWriter& out) const {
   for (const auto& layer : layers_) layer->save(out);
 }
 
-Sequential Sequential::load(util::TokenReader& in) {
+std::size_t Sequential::output_size(std::size_t input_width) const {
+  std::size_t width = input_width;
+  for (const auto& layer : layers_) width = layer->output_size(width);
+  return width;
+}
+
+namespace {
+
+/// a * b, saturated: a geometry too large to multiply out is a mismatch
+/// for any real input width.
+std::size_t saturating_mul(std::size_t a, std::size_t b) {
+  if (a != 0 && b > std::numeric_limits<std::size_t>::max() / a) {
+    return std::numeric_limits<std::size_t>::max();
+  }
+  return a * b;
+}
+
+std::size_t positive(int v) { return v > 0 ? static_cast<std::size_t>(v) : 0; }
+
+}  // namespace
+
+Sequential Sequential::load(util::TokenReader& in, std::size_t input_width) {
   in.expect("net", "Sequential::load");
   // The shortest layer record is "\nrelu".
   const std::size_t num_layers = in.count("net layer count", 5);
   Sequential net;
+  std::size_t width = input_width;  // values per row entering layer i
   for (std::size_t i = 0; i < num_layers; ++i) {
     const std::string_view tag = in.token("net layer tag");
+    const std::size_t record = in.offset();
+    // Run after the layer is built, so its own geometry checks come first.
+    const auto expect_width = [&](std::size_t takes) {
+      if (takes == width) return;
+      in.fail_at(record, "Sequential::load: " + std::string(tag) + " layer " +
+                             std::to_string(i) + " takes " +
+                             std::to_string(takes) +
+                             " values per row, but its input has " +
+                             std::to_string(width));
+    };
     if (tag == "dense") {
       Matrix w = Matrix::load(in);
       Matrix b = Matrix::load(in);
+      const std::size_t takes = w.rows();
       net.add(std::make_unique<Dense>(std::move(w), std::move(b)));
+      expect_width(takes);
     } else if (tag == "relu") {
       net.add(std::make_unique<ReLU>());
     } else if (tag == "dropout") {
@@ -510,6 +545,8 @@ Sequential Sequential::load(util::TokenReader& in) {
       Matrix bias = Matrix::load(in);
       net.add(std::make_unique<Conv2D>(in_c, out_c, h, w, k,
                                        std::move(weights), std::move(bias)));
+      expect_width(saturating_mul(saturating_mul(positive(in_c), positive(h)),
+                                  positive(w)));
     } else if (tag == "conv3") {
       const int in_c = in.i32("conv3 in_c");
       const int out_c = in.i32("conv3 out_c");
@@ -521,10 +558,15 @@ Sequential Sequential::load(util::TokenReader& in) {
       Matrix bias = Matrix::load(in);
       net.add(std::make_unique<Conv3D>(in_c, out_c, d, h, w, k,
                                        std::move(weights), std::move(bias)));
+      expect_width(saturating_mul(
+          saturating_mul(saturating_mul(positive(in_c), positive(d)),
+                         positive(h)),
+          positive(w)));
     } else {
       in.fail("Sequential::load: unknown layer tag '" + std::string(tag) +
               "'");
     }
+    width = net.layers_.back()->output_size(width);
   }
   return net;
 }

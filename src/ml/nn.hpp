@@ -190,11 +190,18 @@ class Sequential {
 
   std::size_t num_layers() const noexcept { return layers_.size(); }
 
+  /// Values per row the net outputs for `input_width` values per row in.
+  std::size_t output_size(std::size_t input_width) const;
+
   /// Persists every layer in order; load() reconstructs a net whose infer()
   /// and forward() are bit-identical to the saved one. Throws
-  /// std::runtime_error on unknown layer tags or malformed weights.
+  /// std::runtime_error on unknown layer tags or malformed weights, and on
+  /// a Dense, Conv2D or Conv3D record that does not take the width its
+  /// input has: `input_width` values per row for the first layer, the
+  /// previous layer's output after it (ReLU and Dropout pass it through).
+  /// The reader's offset() then names the tag of that record.
   void save(util::TokenWriter& out) const;
-  static Sequential load(util::TokenReader& in);
+  static Sequential load(util::TokenReader& in, std::size_t input_width);
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;

@@ -1,7 +1,7 @@
 #include "stencil/pattern.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <charconv>
 #include <stdexcept>
 
 #include "util/rng.hpp"
@@ -118,10 +118,21 @@ std::uint64_t StencilPattern::hash() const noexcept {
 
 std::string StencilPattern::name() const {
   const Shape shape = classify();
-  std::ostringstream os;
-  os << to_string(shape) << dims_ << 'd' << order_ << 'r';
-  if (shape == Shape::kIrregular) os << size() << 'p';
-  return os.str();
+  const auto append_int = [](std::string& out, int value) {
+    char buf[16];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
+  };
+  // Fits the short-string buffer for every paper-sized stencil.
+  std::string out = to_string(shape);
+  append_int(out, dims_);
+  out += 'd';
+  append_int(out, order_);
+  out += 'r';
+  if (shape == Shape::kIrregular) {
+    append_int(out, size());
+    out += 'p';
+  }
+  return out;
 }
 
 StencilPattern make_star(int dims, int radius) {

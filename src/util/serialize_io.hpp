@@ -129,6 +129,12 @@ class TokenReader {
 
   /// Throws std::runtime_error(what); offset() still names the token.
   [[noreturn]] void fail(std::string_view what) const;
+  /// As fail(), with offset() moved back to `offset`, the first byte of a
+  /// token read earlier (e.g. the tag of the record found to be wrong).
+  [[noreturn]] void fail_at(std::size_t offset, std::string_view what) {
+    start_ = offset;
+    fail(what);
+  }
 
  private:
   std::string_view text_;

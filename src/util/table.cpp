@@ -1,18 +1,36 @@
 #include "util/table.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <iomanip>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace smart::util {
 
+void append_fixed(std::string& out, double value, int precision) {
+  if (precision < 0) precision = 6;  // what ostream does with a negative one
+  // Sign, up to 309 integer digits, the point and the fraction digits.
+  constexpr int kStackPrecision = 64;
+  char stack[312 + kStackPrecision];
+  std::string heap;
+  char* first = stack;
+  char* last = stack + sizeof stack;
+  if (precision > kStackPrecision) {
+    heap.resize(312 + static_cast<std::size_t>(precision));
+    first = heap.data();
+    last = first + heap.size();
+  }
+  const auto result =
+      std::to_chars(first, last, value, std::chars_format::fixed, precision);
+  out.append(first, result.ptr);
+}
+
 std::string format_double(double value, int precision) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(precision) << value;
-  return os.str();
+  std::string out;
+  append_fixed(out, value, precision);
+  return out;
 }
 
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {}

@@ -36,7 +36,12 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Formats a double with fixed precision (helper shared with Table).
+/// Formats a double with fixed precision (helper shared with Table): the
+/// bytes `std::ostream` writes under std::fixed and std::setprecision, via
+/// std::to_chars.
 std::string format_double(double value, int precision);
+
+/// Appends format_double(value, precision) to `out` without a temporary.
+void append_fixed(std::string& out, double value, int precision);
 
 }  // namespace smart::util

@@ -14,17 +14,25 @@ std::mutex& registry_mutex() {
   return mu;
 }
 
-std::map<std::string, PhaseStats>& registry() {
-  static std::map<std::string, PhaseStats> phases;
+// std::less<> looks phases up by string_view, without a std::string.
+using Registry = std::map<std::string, PhaseStats, std::less<>>;
+
+Registry& registry() {
+  static Registry phases;
   return phases;
 }
 
 }  // namespace
 
-void timing_record(const std::string& phase, double wall_ms,
+void timing_record(std::string_view phase, double wall_ms,
                    std::uint64_t tasks) {
   const std::lock_guard<std::mutex> lock(registry_mutex());
-  PhaseStats& stats = registry()[phase];
+  Registry& phases = registry();
+  auto it = phases.find(phase);
+  if (it == phases.end()) {
+    it = phases.emplace(std::string(phase), PhaseStats{}).first;
+  }
+  PhaseStats& stats = it->second;
   stats.wall_ms += wall_ms;
   stats.calls += 1;
   stats.tasks += tasks;

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -21,8 +22,9 @@ struct PhaseStats {
   std::uint64_t tasks = 0;   // work items processed (loop trip counts)
 };
 
-/// Adds one phase invocation to the registry (thread-safe).
-void timing_record(const std::string& phase, double wall_ms,
+/// Adds one phase invocation to the registry (thread-safe). Only the first
+/// record of a phase copies its name.
+void timing_record(std::string_view phase, double wall_ms,
                    std::uint64_t tasks = 0);
 
 /// Snapshot of every recorded phase, sorted by phase name.
@@ -35,10 +37,11 @@ void timing_reset();
 std::string timing_report();
 
 /// RAII phase scope: accumulates the enclosed wall time on destruction.
+/// `phase` is a string literal: the timer keeps the pointer, not a copy.
 class PhaseTimer {
  public:
-  explicit PhaseTimer(std::string phase, std::uint64_t tasks = 0)
-      : phase_(std::move(phase)),
+  explicit PhaseTimer(const char* phase, std::uint64_t tasks = 0)
+      : phase_(phase),
         tasks_(tasks),
         start_(std::chrono::steady_clock::now()) {}
   ~PhaseTimer() {
@@ -51,7 +54,7 @@ class PhaseTimer {
   PhaseTimer& operator=(const PhaseTimer&) = delete;
 
  private:
-  std::string phase_;
+  const char* phase_;
   std::uint64_t tasks_;
   std::chrono::steady_clock::time_point start_;
 };

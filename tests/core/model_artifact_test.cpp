@@ -426,6 +426,49 @@ TEST(ModelArtifact, RejectsSplitFeatureOutsideInputWidth) {
   EXPECT_EQ(what.find(located_at(root)), 0u) << what << " width " << width;
 }
 
+TEST(ModelArtifact, RejectsNetRecordsOfTheWrongWidth) {
+  // ConvMLP at max_order 2 feeds its conv branch 25-float tensor rows. A
+  // resealed conv record widened to 9x9 takes 81 floats per row: it used
+  // to load and then read past every row at the first advise.
+  {
+    std::string payload = payload_of(splitting_artifact(RegressorKind::kConvMlp));
+    const std::string conv = "\nconv2 1 6 5 5 3\n";
+    const std::size_t at = payload.find(conv);
+    ASSERT_NE(at, std::string::npos);
+    payload.replace(at, conv.size(), "\nconv2 1 6 9 9 3\n");
+    const std::string what = load_error(reseal(payload));
+    EXPECT_EQ(what.find(located_at(at + 1)), 0u) << what;
+    EXPECT_NE(what.find("conv2 layer 0 takes 81 values per row, but its input "
+                        "has 25"),
+              std::string::npos)
+        << what;
+  }
+  // The MLP (one 16-wide hidden layer) ends in a 16x1 dense record;
+  // reshaped to 8x2 (same weights, a second bias) it takes 8 of the 16
+  // values the hidden layer outputs.
+  {
+    std::string payload = payload_of(splitting_artifact(RegressorKind::kMlp));
+    const std::size_t net = payload.find("\nnnreg\n");
+    ASSERT_NE(net, std::string::npos);
+    const std::size_t last = payload.rfind("\ndense\n");
+    ASSERT_GT(last, net);
+    const std::size_t weights = last + std::string("\ndense\n").size();
+    ASSERT_EQ(payload.compare(weights, 9, "mat 16 1 "), 0);
+    payload.replace(weights, 9, "mat 8 2 ");
+    const std::size_t bias = payload.find('\n', weights) + 1;
+    const std::size_t bias_end = payload.find('\n', bias);
+    ASSERT_EQ(payload.compare(bias, 8, "mat 1 1 "), 0);
+    const std::string value = payload.substr(bias + 8, bias_end - bias - 8);
+    payload.replace(bias, bias_end - bias, "mat 1 2 " + value + ' ' + value);
+    const std::string what = load_error(reseal(payload));
+    EXPECT_EQ(what.find(located_at(last + 1)), 0u) << what;
+    EXPECT_NE(what.find("dense layer 2 takes 8 values per row, but its input "
+                        "has 16"),
+              std::string::npos)
+        << what;
+  }
+}
+
 /// FNV checksums of the three test artifacts as the iostream-based writer
 /// produced them. The golden check.sh artifacts are GBR only, so these are
 /// the pins on the `mat` and f32 tokens of the MLP and ConvMLP writers.

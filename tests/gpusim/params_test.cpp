@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <sstream>
 
 namespace smart::gpusim {
 namespace {
@@ -168,6 +169,60 @@ TEST(ParamSetting, ToStringMentionsComponents) {
   EXPECT_NE(str.find("st128"), std::string::npos);
   EXPECT_NE(str.find("tb2"), std::string::npos);
   EXPECT_NE(str.find("u2"), std::string::npos);
+}
+
+/// The iostream spelling ParamSetting::to_string reproduces.
+std::string ostream_setting(const ParamSetting& s) {
+  std::ostringstream os;
+  os << "b" << s.block_x << "x" << s.block_y;
+  if (s.merge_factor > 1) os << " m" << s.merge_factor << "@d" << s.merge_dim;
+  if (s.unroll > 1) os << " u" << s.unroll;
+  if (s.stream_tile > 0) os << " st" << s.stream_tile << "@d" << s.stream_dim;
+  os << (s.use_smem ? " smem" : " nosmem");
+  if (s.tb_depth > 1) os << " tb" << s.tb_depth;
+  return os.str();
+}
+
+TEST(ParamSetting, ToStringMatchesOstreamForEverySetting) {
+  std::size_t checked = 0;
+  for (const auto& oc : valid_combinations()) {
+    for (int dims = 2; dims <= 3; ++dims) {
+      for (const ParamSetting& s : ParamSpace(oc, dims).enumerate()) {
+        ASSERT_EQ(s.to_string(), ostream_setting(s));
+        std::string appended = "setting ";
+        s.append_to(appended);
+        ASSERT_EQ(appended, "setting " + ostream_setting(s));
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000u);
+}
+
+TEST(ParamSpace, ForEachSettingVisitsEnumerateOrder) {
+  for (const auto& oc : valid_combinations()) {
+    for (int dims = 2; dims <= 3; ++dims) {
+      const ParamSpace space(oc, dims);
+      std::vector<ParamSetting> visited;
+      space.for_each_setting([&](const ParamSetting& s) { visited.push_back(s); });
+      EXPECT_EQ(visited, space.enumerate());
+      EXPECT_EQ(visited.size(), space.size());
+    }
+  }
+}
+
+TEST(ParamSetting, FeatureArrayMatchesVector) {
+  ParamSetting s;
+  s.merge_factor = 4;
+  s.merge_dim = 1;
+  s.stream_tile = 128;
+  s.stream_dim = 1;
+  s.unroll = 2;
+  s.tb_depth = 2;
+  const auto array = s.feature_array();
+  const auto vector = s.to_feature_vector();
+  ASSERT_EQ(vector.size(), array.size());
+  for (std::size_t i = 0; i < array.size(); ++i) EXPECT_EQ(vector[i], array[i]);
 }
 
 }  // namespace

@@ -172,7 +172,7 @@ TEST(ModelIo, FcNetClassifierRoundTripPredictsIdentically) {
   util::TokenWriter buffer;
   original.save(buffer);
   util::TokenReader in(buffer.view());
-  NnClassifier loaded = NnClassifier::load(in);
+  NnClassifier loaded = NnClassifier::load(in, x.cols());
   EXPECT_EQ(loaded.predict(x), original.predict(x));
 }
 
@@ -190,7 +190,7 @@ TEST(ModelIo, ConvNetClassifierRoundTripPredictsIdentically) {
   util::TokenWriter buffer;
   original.save(buffer);
   util::TokenReader in(buffer.view());
-  NnClassifier loaded = NnClassifier::load(in);
+  NnClassifier loaded = NnClassifier::load(in, x.cols());
   EXPECT_EQ(loaded.predict(x), original.predict(x));
 }
 
@@ -207,7 +207,7 @@ TEST(ModelIo, MlpRegressorRoundTripPredictsBitIdentically) {
   util::TokenWriter buffer;
   original.save(buffer);
   util::TokenReader in(buffer.view());
-  NnRegressor loaded = NnRegressor::load(in);
+  NnRegressor loaded = NnRegressor::load(in, x.cols());
   const auto a = original.predict(x);
   const auto b = loaded.predict(x);
   ASSERT_EQ(a.size(), b.size());
@@ -229,7 +229,8 @@ TEST(ModelIo, ConvMlpRegressorRoundTripPredictsBitIdentically) {
   util::TokenWriter buffer;
   original.save(buffer);
   util::TokenReader in(buffer.view());
-  ConvMlpRegressor loaded = ConvMlpRegressor::load(in);
+  ConvMlpRegressor loaded =
+      ConvMlpRegressor::load(in, tensors.cols(), aux.cols());
   const auto a = original.predict(tensors, aux);
   const auto b = loaded.predict(tensors, aux);
   ASSERT_EQ(a.size(), b.size());
@@ -245,7 +246,32 @@ TEST(ModelIo, ConvMlpRegressorRoundTripPredictsBitIdentically) {
 
 TEST(ModelIo, SequentialRejectsUnknownLayerTag) {
   util::TokenReader in("net 1\nblorp\n");
-  EXPECT_THROW(Sequential::load(in), std::runtime_error);
+  EXPECT_THROW(Sequential::load(in, 4), std::runtime_error);
+}
+
+TEST(ModelIo, SequentialChecksEachLayerAgainstItsInputWidth) {
+  util::Rng rng(59);
+  Sequential net = make_mlp(5, 1, 4, rng);
+  util::TokenWriter buffer;
+  net.save(buffer);
+  const std::string text(buffer.view());
+  {
+    util::TokenReader in(text);
+    EXPECT_EQ(Sequential::load(in, 5).output_size(5), 1u);
+  }
+  // A 6-wide input does not fit the first dense record: the error names
+  // the record, and the reader's offset is its tag.
+  util::TokenReader in(text);
+  try {
+    Sequential::load(in, 6);
+    FAIL() << "a 5-input net loaded for 6-wide rows";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "dense layer 0 takes 5 values per row, but its input has 6"),
+              std::string::npos)
+        << e.what();
+    EXPECT_EQ(in.offset(), text.find("dense"));
+  }
 }
 
 TEST(ModelIo, TrainConfigRoundTrip) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "stencil/generator.hpp"
+#include "util/rng.hpp"
+
 namespace smart::stencil {
 namespace {
 
@@ -127,6 +132,31 @@ TEST(Gallery, CoversShapesOrdersDims) {
   EXPECT_EQ(stars, 8);
   EXPECT_EQ(boxes, 8);
   EXPECT_EQ(crosses, 8);
+}
+
+/// The iostream spelling StencilPattern::name reproduces.
+std::string ostream_name(const StencilPattern& p) {
+  const Shape shape = p.classify();
+  std::ostringstream os;
+  os << to_string(shape) << p.dims() << 'd' << p.order() << 'r';
+  if (shape == Shape::kIrregular) os << p.size() << 'p';
+  return os.str();
+}
+
+TEST(StencilPattern, NameMatchesOstream) {
+  std::vector<StencilPattern> patterns = representative_gallery();
+  patterns.push_back(StencilPattern(2, {}));
+  patterns.push_back(StencilPattern(3, {Point{4, -4, 4}}));
+  for (int dims = 2; dims <= 3; ++dims) {
+    GeneratorConfig config;
+    config.dims = dims;
+    const RandomStencilGenerator generator(config);
+    util::Rng rng(static_cast<std::uint64_t>(dims) * 977);
+    for (auto& p : generator.generate_batch(rng, 200)) {
+      patterns.push_back(std::move(p));
+    }
+  }
+  for (const auto& p : patterns) EXPECT_EQ(p.name(), ostream_name(p));
 }
 
 }  // namespace

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace smart::util {
 namespace {
@@ -203,6 +210,130 @@ TEST(FaultInjector, DisabledInjectorNeverThrows) {
     EXPECT_NO_THROW(injector.inject(FaultSite::kWorker, id, 0));
     EXPECT_NO_THROW(injector.inject(FaultSite::kIo, id, 0));
   }
+}
+
+/// The ';'-separated elements of a spec, split as the parser splits them.
+std::vector<std::string> spec_elements(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream stream(text);
+  for (std::string element; std::getline(stream, element, ';');) {
+    out.push_back(element);
+  }
+  return out;
+}
+
+void mutate_spec(util::Rng& rng, std::string& text) {
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  static const char kAlphabet[] = ";:=.-+0123456789eEpxafilsmeasurtwkpnioN ";
+  static const char* const kFragments[] = {
+      ";", ":", "=", "p=", ":fails=", "seed=", "1e309", "nan", "-0", "0x1p-3",
+      "2", "0.5", "99999999999999999999", "permanent", "transient", "io",
+      "worker", "accept", "measure:", "-1", ""};
+  switch (pick(6)) {
+    case 0:  // flip one byte
+      if (!text.empty()) text[pick(text.size())] = kAlphabet[pick(sizeof kAlphabet - 1)];
+      break;
+    case 1:  // insert a grammar fragment
+      text.insert(pick(text.size() + 1), kFragments[pick(std::size(kFragments))]);
+      break;
+    case 2:  // delete a run of bytes
+      if (!text.empty()) {
+        const std::size_t at = pick(text.size());
+        text.erase(at, 1 + pick(4));
+      }
+      break;
+    case 3: {  // duplicate or drop an element
+      auto elements = spec_elements(text);
+      if (elements.empty()) break;
+      const std::size_t e = pick(elements.size());
+      if (rng.bernoulli(0.5)) {
+        elements.insert(elements.begin() + static_cast<std::ptrdiff_t>(e),
+                        elements[e]);
+      } else {
+        elements.erase(elements.begin() + static_cast<std::ptrdiff_t>(e));
+      }
+      text.clear();
+      for (std::size_t i = 0; i < elements.size(); ++i) {
+        if (i > 0) text += ';';
+        text += elements[i];
+      }
+      break;
+    }
+    case 4:  // truncate
+      text.resize(pick(text.size() + 1));
+      break;
+    default:  // replace a number with another spelling
+      for (std::size_t i = 0; i < text.size(); ++i) {
+        if (text[i] >= '0' && text[i] <= '9') {
+          std::size_t end = i;
+          while (end < text.size() &&
+                 ((text[end] >= '0' && text[end] <= '9') || text[end] == '.')) {
+            ++end;
+          }
+          if (rng.bernoulli(0.5)) {
+            text.replace(i, end - i, kFragments[6 + pick(8)]);
+            break;
+          }
+          i = end;
+        }
+      }
+      break;
+  }
+}
+
+TEST(FaultSpec, MutationFuzzFailsNamedOrRoundTrips) {
+  const std::vector<std::string> seeds = {
+      "seed=42;measure:transient:p=0.5:fails=3;measure:permanent:p=0.25;"
+      "worker:p=0.125;io:p=1",
+      "seed=13;measure:transient:p=0.05;measure:permanent:p=0.01",
+      "seed=7;accept:p=0.2;read:p=0.01:fails=2;write:p=0.3",
+      "worker:p=0.001:fails=1000000;io:p=0",
+      "measure:transient:p=1e-3"};
+  util::Rng rng(20261019);
+  int rejected = 0;
+  int accepted = 0;
+  for (int n = 0; n < 3000; ++n) {
+    std::string text = seeds[static_cast<std::size_t>(n) % seeds.size()];
+    const int edits = 1 + static_cast<int>(rng.uniform_int(0, 2));
+    for (int e = 0; e < edits; ++e) mutate_spec(rng, text);
+
+    FaultSpec spec;
+    try {
+      spec = parse_fault_spec(text);
+    } catch (const std::invalid_argument& error) {
+      // The message quotes the offending element verbatim.
+      const std::string what = error.what();
+      const std::string prefix = "fault spec element '";
+      ASSERT_EQ(what.rfind(prefix, 0), 0u) << what << " <- " << text;
+      const std::size_t end = what.find("': ", prefix.size());
+      ASSERT_NE(end, std::string::npos) << what;
+      const std::string named = what.substr(prefix.size(), end - prefix.size());
+      const auto elements = spec_elements(text);
+      EXPECT_NE(std::find(elements.begin(), elements.end(), named),
+                elements.end())
+          << "'" << named << "' is not an element of " << text;
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    const FaultSpec again = parse_fault_spec(spec.to_string());
+    ASSERT_EQ(again.seed, spec.seed) << text;
+    ASSERT_EQ(again.rules.size(), spec.rules.size()) << text;
+    for (std::size_t r = 0; r < spec.rules.size(); ++r) {
+      EXPECT_EQ(again.rules[r].site, spec.rules[r].site) << text;
+      EXPECT_EQ(again.rules[r].permanent, spec.rules[r].permanent) << text;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(again.rules[r].p),
+                std::bit_cast<std::uint64_t>(spec.rules[r].p))
+          << text;
+      EXPECT_EQ(again.rules[r].fails, spec.rules[r].fails) << text;
+    }
+    EXPECT_EQ(again.to_string(), spec.to_string());
+  }
+  EXPECT_GT(rejected, 300);
+  EXPECT_GT(accepted, 300);
 }
 
 TEST(ScopedFaultInjection, InstallsAndRestoresTheGlobalInjector) {
