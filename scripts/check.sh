@@ -558,8 +558,9 @@ fi
 echo "OK: --precision f32 reply sets byte-identical across max-batch {1,64} x threads {1,4}, and equal to f64 for GBR"
 
 echo "== serve daemon: golden equivalence vs one-shot advise --model =="
-# serve answers through advise_batch plus the wire codec; the CLI answers
-# through per-call advise(). Unescaped serve replies in id order must be
+# serve answers through admission batches of advise_batch plus the wire
+# codec; the CLI answers each query with a one-item advise_batch and
+# prints the report unescaped. Unescaped serve replies in id order must be
 # byte-identical to the concatenated one-shot CLI outputs.
 T_SHAPES=(star star box cross)
 T_ORDERS=(1 2 1 3)

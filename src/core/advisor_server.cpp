@@ -24,6 +24,10 @@ std::uint64_t elapsed_us(std::chrono::steady_clock::time_point from,
 constexpr const char* kBusyError = "busy (admission queue full)";
 constexpr const char* kDeadlineError = "deadline exceeded before execution";
 
+/// Response-memo entries kept before the memo is wholesale evicted (simple
+/// epoch eviction; correctness never depends on what the memo holds).
+constexpr std::size_t kMemoCapacity = 1 << 16;
+
 /// Writes the advise report into `out`, escaped onto one protocol line
 /// (serve::escape_text) when `escaped`. Names are escaped piece by piece
 /// and the numbers need no escaping, so both forms come from one pass.
@@ -131,7 +135,6 @@ AdvisorServer::AdvisorServer(ModelSnapshot initial, ServeConfig config,
   if (config_.deadline_us < 0) {
     throw std::invalid_argument("AdvisorServer: deadline_us must be >= 0");
   }
-  if (config_.memo_capacity == 0) config_.memo_capacity = 1;
   if (!config_.precision.empty()) {
     precision_override_.emplace(
         ml::precision_from_string(config_.precision.c_str()));
@@ -474,7 +477,7 @@ void AdvisorServer::execute_batch(std::vector<Pending>& batch) {
     // epoch; after a reload they would poison the fresh model's cache.
     const std::lock_guard<std::mutex> lk(memo_mu_);
     if (memo_epoch_ == batch_epoch) {
-      if (memo_.size() + unique_count > config_.memo_capacity) memo_.clear();
+      if (memo_.size() + unique_count > kMemoCapacity) memo_.clear();
       for (std::size_t u = 0; u < unique_count; ++u) {
         memo_.emplace(std::move(unique_requests_[u]->memo_key),
                       std::move(replies_[u]));

@@ -5,20 +5,22 @@
 // response memo so repeated queries for the same (verb, stencil, GPU) never
 // recompute. Transport-agnostic: the caller feeds lines in and receives
 // reply lines through a per-request sink callback, so the same engine runs
-// under stdio, a unix socket, the in-process tests and the bench harness.
+// under the daemon's sessions (core/serve_daemon: stdio or a unix socket),
+// the in-process tests and the bench harness.
 //
 // Determinism contract: a reply's BYTES depend only on the request's
 // canonical (verb, stencil, GPU) key and the model EPOCH that answered it —
 // never on arrival order, batch composition, `max_batch`, `max_wait_us`,
 // SMART_THREADS, connection count, shedding decisions, or memo hits. That
-// holds because advise_batch is bit-identical to per-item
-// advise()/recommend_gpu() (core/mart.hpp), every cached value is the
-// deterministic function it memoizes, the memo is wholesale-cleared on
-// reload (it never mixes epochs), and shed replies are fixed strings. The
-// black-box harness (tests + scripts/check.sh) enforces it: shuffled
-// request sets at any batch size, thread count and connection count must
-// produce response sets whose surviving members are byte-identical to
-// one-shot `smartctl advise --model` output for their epoch.
+// holds because each advise_batch result is a function of its item alone
+// (core/mart.hpp; a per-variant reference in the tests pins it bit for
+// bit), every cached value is the deterministic function it memoizes, the
+// memo is wholesale-cleared on reload (it never mixes epochs), and shed
+// replies are fixed strings. The black-box harness (tests +
+// scripts/check.sh) enforces it: shuffled request sets at any batch size,
+// thread count and connection count must produce response sets whose
+// surviving members are byte-identical to one-shot `smartctl advise
+// --model` output for their epoch.
 //
 // Overload: the admission queue is bounded (`max_queue`); a request that
 // arrives while the queue is full is shed with a structured
@@ -90,9 +92,6 @@ struct ServeConfig {
   /// Per-request deadline: a queued request older than this when its batch
   /// starts executing is shed with a structured deadline error. 0 disables.
   long long deadline_us = 0;
-  /// Response-memo entries kept before the cache is wholesale evicted
-  /// (simple epoch eviction; correctness never depends on cache state).
-  std::size_t memo_capacity = 1 << 16;
   /// Inference-precision override held for the server's lifetime (the
   /// knob is process-global — see ml/simd.hpp — so the batcher thread
   /// inherits it; the previous value is restored on destruction).

@@ -96,41 +96,52 @@ void StencilMart::fit_models() {
   trained_ = true;
 }
 
-std::size_t StencilMart::gpu_index(const std::string& name) const {
-  for (std::size_t g = 0; g < dataset_->num_gpus(); ++g) {
-    if (dataset_->gpus[g].name == name) return g;
-  }
-  throw std::out_of_range("StencilMart: unknown GPU " + name);
-}
-
 OcAdvice StencilMart::advise(const stencil::StencilPattern& pattern,
                              const std::string& gpu_name) const {
   if (!trained_) throw std::logic_error("StencilMart::advise before train()");
-  const std::size_t g = gpu_index(gpu_name);
-  OcAdvice advice = advise_variant(pattern, g);
-  advice.predicted_time_ms = regression_->predict_variant(
-      pattern, gpusim::ProblemSize::paper_default(pattern.dims()),
-      static_cast<std::size_t>(gpusim::oc_index(advice.oc)), advice.setting, g);
-  return advice;
+  return advise_one({pattern, gpu_name, /*recommend=*/false}).advice;
 }
 
-OcAdvice StencilMart::advise_variant(const stencil::StencilPattern& pattern,
-                                     std::size_t g) const {
-  OcAdvice advice = classify_variant(pattern, g);
-  tune_variant(pattern, g, advice);
-  return advice;
+GpuRecommendation StencilMart::recommend_gpu(
+    const stencil::StencilPattern& pattern) const {
+  if (!trained_) throw std::logic_error("StencilMart::recommend_gpu before train()");
+  // The fold covers every GPU; the item's own advice is the first GPU's,
+  // one of the variants the fold needs anyway.
+  return advise_one({pattern, dataset_->gpus.front().name, /*recommend=*/true})
+      .rec;
 }
 
-OcAdvice StencilMart::classify_variant(const stencil::StencilPattern& pattern,
-                                       std::size_t g) const {
-  if (pattern.dims() != config_.profile.dims) {
-    throw std::invalid_argument(
-        "StencilMart::advise: pattern dimensionality differs from the "
-        "training corpus");
+AdviseBatchResult StencilMart::advise_one(const AdviseBatchItem& item) const {
+  std::size_t g = 0;
+  switch (const QueryFault fault = check_query(item, g)) {
+    case QueryFault::kDims:
+      throw std::invalid_argument(fault_message(fault, item.gpu));
+    case QueryFault::kUnknownGpu:
+      throw std::out_of_range(fault_message(fault, item.gpu));
+    case QueryFault::kNone:
+      break;
   }
-  std::vector<float> row(feature_width());
-  feature_row(pattern, row.data());
-  return classify_row(row, g);
+  std::vector<AdviseBatchResult> results = advise_batch({&item, 1});
+  if (!results[0].ok()) throw std::runtime_error(results[0].error);
+  return std::move(results[0]);
+}
+
+StencilMart::QueryFault StencilMart::check_query(const AdviseBatchItem& item,
+                                                 std::size_t& g) const {
+  if (item.pattern.dims() != config_.profile.dims) return QueryFault::kDims;
+  for (g = 0; g < dataset_->num_gpus(); ++g) {
+    if (dataset_->gpus[g].name == item.gpu) return QueryFault::kNone;
+  }
+  return QueryFault::kUnknownGpu;
+}
+
+std::string StencilMart::fault_message(QueryFault fault,
+                                       const std::string& gpu) {
+  if (fault == QueryFault::kDims) {
+    return "StencilMart::advise: pattern dimensionality differs from the "
+           "training corpus";
+  }
+  return "StencilMart: unknown GPU " + gpu;
 }
 
 std::size_t StencilMart::feature_width() const {
@@ -230,23 +241,10 @@ std::vector<AdviseBatchResult> StencilMart::advise_batch(
   std::vector<std::size_t> rec_jobs;
   for (std::size_t i = 0; i < items.size(); ++i) {
     const AdviseBatchItem& item = items[i];
-    if (item.pattern.dims() != config_.profile.dims) {
-      // Same diagnostics advise() throws, so serve-mode error replies match
-      // the one-shot CLI behaviour.
-      results[i].error =
-          "StencilMart::advise: pattern dimensionality differs from the "
-          "training corpus";
-      continue;
-    }
-    std::size_t g = num_gpus;
-    for (std::size_t c = 0; c < num_gpus; ++c) {
-      if (dataset_->gpus[c].name == item.gpu) {
-        g = c;
-        break;
-      }
-    }
-    if (g == num_gpus) {
-      results[i].error = "StencilMart: unknown GPU " + item.gpu;
+    std::size_t g = 0;
+    const QueryFault fault = check_query(item, g);
+    if (fault != QueryFault::kNone) {
+      results[i].error = fault_message(fault, item.gpu);
       continue;
     }
     const std::uint64_t pattern_hash = item.pattern.hash();
@@ -259,16 +257,18 @@ std::vector<AdviseBatchResult> StencilMart::advise_batch(
     }
   }
 
+  // Each item's classifier row: its Table II features, extracted once per
+  // item rather than once per GPU, classify every job of the item and are
+  // the stencil features of its regression queries.
+  const std::size_t width = feature_width();
+  std::vector<float> rows(items.size() * width);
   {
     const util::PhaseTimer timer("advisor.batch_tune", jobs.size());
     {
       // One classifier walk per variant is a few microseconds: a serial
-      // pass costs less than a pool hand-off. Features are extracted once
-      // per item, not once per GPU; an item whose extraction throws passes
-      // the message to each of its jobs.
+      // pass costs less than a pool hand-off. An item whose extraction
+      // throws passes the message to each of its jobs.
       const util::PhaseTimer classify("advisor.classify", jobs.size());
-      const std::size_t width = feature_width();
-      std::vector<float> rows(items.size() * width);
       std::vector<std::string> row_error;  // sized at the first failure
       for (std::size_t i = 0; i < items.size(); ++i) {
         if (own_job[i] == kNoJob) continue;
@@ -319,7 +319,8 @@ std::vector<AdviseBatchResult> StencilMart::advise_batch(
   for (const VariantJob& job : jobs) {
     if (!job.error.empty()) continue;
     queries.push_back(
-        {job.pattern, gpusim::ProblemSize::paper_default(job.pattern->dims()),
+        {job.pattern, {rows.data() + job.item * width, width},
+         gpusim::ProblemSize::paper_default(job.pattern->dims()),
          static_cast<std::size_t>(gpusim::oc_index(job.advice.oc)),
          job.advice.setting, job.g});
   }
@@ -341,13 +342,14 @@ std::vector<AdviseBatchResult> StencilMart::advise_batch(
     }
     out.advice = own.advice;
     if (!items[i].recommend) continue;
-    // Same fold as recommend_gpu(), over the same per-GPU advised variants.
+    // The recommend fold: the fastest predicted GPU, and the cheapest by
+    // predicted time x rental price among the GPUs that have a price.
     double best_time = std::numeric_limits<double>::infinity();
     double best_cost = std::numeric_limits<double>::infinity();
     for (std::size_t g = 0; g < num_gpus && out.error.empty(); ++g) {
       const VariantJob& job = jobs[rec_jobs[i * num_gpus + g]];
       if (!job.error.empty()) {
-        out.error = job.error;  // recommend_gpu() would have thrown here
+        out.error = job.error;
         break;
       }
       const double predicted_time_ms = job.advice.predicted_time_ms;
@@ -368,49 +370,6 @@ std::vector<AdviseBatchResult> StencilMart::advise_batch(
     }
   }
   return results;
-}
-
-GpuRecommendation StencilMart::recommend_gpu(
-    const stencil::StencilPattern& pattern) const {
-  if (!trained_) throw std::logic_error("StencilMart::recommend_gpu before train()");
-
-  // Classify + tune per GPU, then predict every advised variant in ONE
-  // batched regression call (the pattern is encoded once for the sweep).
-  const auto problem = gpusim::ProblemSize::paper_default(pattern.dims());
-  std::vector<OcAdvice> advices;
-  std::vector<VariantQuery> queries;
-  advices.reserve(dataset_->num_gpus());
-  queries.reserve(dataset_->num_gpus());
-  for (std::size_t g = 0; g < dataset_->num_gpus(); ++g) {
-    advices.push_back(advise_variant(pattern, g));
-    queries.push_back(
-        {&pattern, problem,
-         static_cast<std::size_t>(gpusim::oc_index(advices.back().oc)),
-         advices.back().setting, g});
-  }
-  const std::vector<double> predicted = regression_->predict_variants(queries);
-
-  GpuRecommendation rec;
-  double best_time = std::numeric_limits<double>::infinity();
-  double best_cost = std::numeric_limits<double>::infinity();
-  for (std::size_t g = 0; g < dataset_->num_gpus(); ++g) {
-    const double predicted_time_ms = predicted[g];
-    if (predicted_time_ms < best_time) {
-      best_time = predicted_time_ms;
-      rec.fastest_gpu = dataset_->gpus[g].name;
-      rec.fastest_time_ms = predicted_time_ms;
-    }
-    const double price = dataset_->gpus[g].rental_usd_hr;
-    if (price > 0.0) {
-      const double score = predicted_time_ms * price;
-      if (score < best_cost) {
-        best_cost = score;
-        rec.cheapest_gpu = dataset_->gpus[g].name;
-        rec.cheapest_cost_score = score;
-      }
-    }
-  }
-  return rec;
 }
 
 }  // namespace smart::core

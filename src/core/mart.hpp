@@ -82,26 +82,32 @@ class StencilMart {
   void train(ProfileDataset dataset);
   bool trained() const noexcept { return trained_; }
 
-  /// Best-OC advice for a (possibly unseen) stencil on a named GPU.
+  /// Best-OC advice for a (possibly unseen) stencil on a named GPU: a
+  /// one-item advise_batch. Throws std::logic_error before train(),
+  /// std::invalid_argument when the pattern's dimensionality differs from
+  /// the corpus, std::out_of_range for an unknown GPU, and
+  /// std::runtime_error with the item's error otherwise.
   OcAdvice advise(const stencil::StencilPattern& pattern,
                   const std::string& gpu_name) const;
 
   /// Cross-architecture rental recommendation for a stencil: per GPU, the
   /// model predicts the time of the advised variant; cost efficiency
   /// weighs it by rental price (GPUs without a price are skipped there).
+  /// A one-item advise_batch, throwing as advise() does.
   GpuRecommendation recommend_gpu(const stencil::StencilPattern& pattern) const;
 
-  /// Batched advise + recommend: classification and tuning run once per
-  /// distinct (stencil, GPU) variant across the whole batch (classification
-  /// in one pass on the calling thread; tuning parallel on the task pool,
-  /// or on the calling thread when the batch has fewer than 16 distinct
-  /// variants; timing phases advisor.classify and advisor.tune inside
-  /// advisor.batch_tune), and every regression estimate of the batch is
-  /// funnelled through ONE predict_variants call. Each result is
-  /// bit-identical to the per-item advise()/recommend_gpu() pair — batching
-  /// and within-batch deduplication change cost, never values — which is
-  /// the determinism contract the serve daemon's admission batcher is built
-  /// on. Item patterns must stay alive for the duration of the call.
+  /// Batched advise + recommend, the one implementation behind advise(),
+  /// recommend_gpu() and the serve daemon: classification and tuning run
+  /// once per distinct (stencil, GPU) variant across the whole batch
+  /// (classification in one pass on the calling thread; tuning parallel on
+  /// the task pool, or on the calling thread when the batch has fewer than
+  /// 16 distinct variants; timing phases advisor.classify and advisor.tune
+  /// inside advisor.batch_tune), and every regression estimate of the
+  /// batch is funnelled through ONE predict_variants call. Each result is
+  /// a function of its item alone — batching and within-batch
+  /// deduplication change cost, never values — which is the determinism
+  /// contract the serve daemon's admission batcher is built on. Item
+  /// patterns must stay alive for the duration of the call.
   std::vector<AdviseBatchResult> advise_batch(
       std::span<const AdviseBatchItem> items) const;
 
@@ -110,7 +116,19 @@ class StencilMart {
   const MartConfig& config() const noexcept { return config_; }
 
  private:
-  std::size_t gpu_index(const std::string& name) const;
+  /// Why a query cannot be answered, found before any model work.
+  enum class QueryFault { kNone, kDims, kUnknownGpu };
+
+  /// The validity check every query passes, shared by advise_batch (which
+  /// reports a fault as the item's error) and advise()/recommend_gpu()
+  /// (which throw it): the pattern's dimensionality first, then the GPU's
+  /// name. On kNone, `g` is the GPU's index.
+  QueryFault check_query(const AdviseBatchItem& item, std::size_t& g) const;
+  /// A fault's diagnostic: advise_batch's item error, and the message of
+  /// the exception advise()/recommend_gpu() throw.
+  static std::string fault_message(QueryFault fault, const std::string& gpu);
+  /// `item` as a one-item advise_batch, its faults and its error thrown.
+  AdviseBatchResult advise_one(const AdviseBatchItem& item) const;
 
   /// Fits the merger, then the per-GPU classifiers and the regressor side
   /// by side on *dataset_ (timing phase mart.fit_models).
@@ -120,23 +138,14 @@ class StencilMart {
   // trained state directly.
   friend class ModelCodec;
 
-  /// Classification + tuning for one GPU, without the regression estimate
-  /// (predicted_time_ms stays 0). advise() adds a single prediction;
-  /// recommend_gpu() batches the predictions of all GPUs into one call.
-  OcAdvice advise_variant(const stencil::StencilPattern& pattern,
-                          std::size_t g) const;
-  /// The two halves of advise_variant: GPU g's classifier picks the OC
-  /// group (group, group_name and its representative oc), then the tuner
-  /// fills setting and expected_time_ms, falling back to the group's other
-  /// members when the representative never runs.
-  OcAdvice classify_variant(const stencil::StencilPattern& pattern,
-                            std::size_t g) const;
-  /// classify_variant's halves: the pattern's classifier row (Table II
-  /// features narrowed to float, feature_width() of them), and GPU g's
-  /// classification of such a row.
+  /// The pattern's classifier row (Table II features narrowed to float,
+  /// feature_width() of them), and GPU g's classification of such a row:
+  /// the group, its name and its representative OC.
   std::size_t feature_width() const;
   void feature_row(const stencil::StencilPattern& pattern, float* out) const;
   OcAdvice classify_row(std::span<const float> row, std::size_t g) const;
+  /// Tunes the advised OC on GPU g (setting and expected_time_ms), falling
+  /// back to the group's other members when the representative never runs.
   void tune_variant(const stencil::StencilPattern& pattern, std::size_t g,
                     OcAdvice& advice) const;
 

@@ -7,7 +7,6 @@
 
 #include "gpusim/opt.hpp"
 #include "ml/dataset.hpp"
-#include "stencil/features.hpp"
 #include "stencil/tensor_repr.hpp"
 #include "util/stats.hpp"
 #include "util/task_pool.hpp"
@@ -115,47 +114,28 @@ ml::Matrix RegressionTask::build_aux_features(
   return out;
 }
 
-double RegressionTask::predict_variant(const stencil::StencilPattern& pattern,
-                                       const gpusim::ProblemSize& problem,
-                                       std::size_t oc,
-                                       const gpusim::ParamSetting& setting,
-                                       std::size_t gpu) const {
-  const VariantQuery query{&pattern, problem, oc, setting, gpu};
-  return predict_variants({&query, 1})[0];
-}
-
 std::vector<double> RegressionTask::predict_variants(
     std::span<const VariantQuery> queries) const {
-  if (!fitted_) throw std::logic_error("predict_variant before fit_full");
+  if (!fitted_) throw std::logic_error("predict_variants before fit_full");
   const util::PhaseTimer timer("infer.predict_batch", queries.size());
   const bool include_sf = fitted_kind_ != RegressorKind::kConvMlp;
   const bool want_tensor = fitted_kind_ == RegressorKind::kConvMlp;
   const std::size_t dim = cache_.aux_dim(include_sf);
 
-  // Per-call pattern memo: a one-pattern sweep over GPUs/settings (the
-  // facade's recommend_gpu) encodes the stencil once, not once per query.
-  struct PatternEncoding {
+  // ConvMLP's per-call tensor memo: a one-pattern sweep over GPUs/settings
+  // (the facade's recommend fold) builds the stencil's tensor once, not
+  // once per query.
+  struct PatternTensor {
     const stencil::StencilPattern* pattern = nullptr;
-    std::vector<float> features;
     std::vector<float> tensor;
   };
-  std::vector<PatternEncoding> memo;
+  std::vector<PatternTensor> memo;
   auto encode = [&](const stencil::StencilPattern* p) -> std::size_t {
     for (std::size_t m = 0; m < memo.size(); ++m) {
       if (memo[m].pattern == p) return m;
     }
-    PatternEncoding e;
-    e.pattern = p;
-    if (include_sf) {
-      const auto sf =
-          stencil::extract_features(*p, dataset_->config.max_order).to_vector();
-      e.features.assign(sf.begin(), sf.end());
-    }
-    if (want_tensor) {
-      e.tensor =
-          stencil::PatternTensor(*p, dataset_->config.max_order).to_floats();
-    }
-    memo.push_back(std::move(e));
+    memo.push_back(
+        {p, stencil::PatternTensor(*p, dataset_->config.max_order).to_floats()});
     return memo.size() - 1;
   };
 
@@ -172,11 +152,13 @@ std::vector<double> RegressionTask::predict_variants(
     std::vector<std::size_t> uniq;  // memo indices, first-appearance order
     for (std::size_t i = 0; i < n; ++i) {
       const VariantQuery& q = queries[begin + i];
-      const std::size_t mi = encode(q.pattern);
-      const PatternEncoding& enc = memo[mi];
       float* dst = aux.row(i).data();
       if (include_sf) {
-        dst = std::copy(enc.features.begin(), enc.features.end(), dst);
+        if (q.features.size() != cache_.stencil_dim()) {
+          throw std::invalid_argument(
+              "predict_variants: query features are not the Table II row");
+        }
+        dst = std::copy(q.features.begin(), q.features.end(), dst);
       }
       const auto of = cache_.oc_flags(q.oc);
       dst = std::copy(of.begin(), of.end(), dst);
@@ -189,6 +171,7 @@ std::vector<double> RegressionTask::predict_variants(
         *dst++ = static_cast<float>(v);
       }
       if (want_tensor) {
+        const std::size_t mi = encode(q.pattern);
         memo_slot.resize(memo.size(), -1);
         if (memo_slot[mi] < 0) {
           memo_slot[mi] = static_cast<int>(uniq.size());

@@ -72,10 +72,15 @@ struct PredictionTable {
 };
 
 /// One out-of-dataset prediction request for predict_variants(): an
-/// arbitrary (pattern, problem, OC, setting, GPU) variant. `pattern` must
-/// outlive the call; repeated pattern pointers are encoded once.
+/// arbitrary (pattern, problem, OC, setting, GPU) variant. `features` is
+/// the pattern's Table II row narrowed to float, the classifier row
+/// (extract_features(*pattern, max_order).to_vector() cast element-wise),
+/// which the caller has already built. `pattern` and `features` must
+/// outlive the call; ConvMLP encodes each distinct pattern pointer's
+/// tensor once.
 struct VariantQuery {
   const stencil::StencilPattern* pattern = nullptr;
+  std::span<const float> features;
   gpusim::ProblemSize problem{};
   std::size_t oc = 0;
   gpusim::ParamSetting setting{};
@@ -124,17 +129,11 @@ class RegressionTask {
   /// Measured time of instance idx's triple on `gpu` (NaN if crashed).
   double measured(std::size_t idx, std::size_t gpu) const;
 
-  /// Predicted time (ms) for an arbitrary variant that need not be in the
-  /// dataset — the entry point the StencilMart facade uses for unseen
-  /// stencils. Requires fit_full(). Delegates to predict_variants().
-  double predict_variant(const stencil::StencilPattern& pattern,
-                         const gpusim::ProblemSize& problem, std::size_t oc,
-                         const gpusim::ParamSetting& setting,
-                         std::size_t gpu) const;
-
-  /// Batched form of predict_variant(): out[i] is bit-identical to the
-  /// per-query call. Distinct patterns are encoded once per call, so a
-  /// one-pattern x many-GPU sweep (recommend_gpu) encodes the stencil once.
+  /// Predicted time (ms) per variant that need not be in the dataset —
+  /// the entry point the StencilMart facade uses for unseen stencils.
+  /// out[i] is bit-identical to a one-query call on queries[i]. Requires
+  /// fit_full(); throws std::invalid_argument when a query's features do
+  /// not have the dataset's Table II width.
   std::vector<double> predict_variants(
       std::span<const VariantQuery> queries) const;
 

@@ -317,6 +317,11 @@ void append_escaped(std::string& out, std::string_view text) {
   }
 }
 
+bool valid_id(std::string_view id) noexcept {
+  return !id.empty() && id.size() <= kMaxIdBytes &&
+         std::all_of(id.begin(), id.end(), valid_id_char);
+}
+
 std::string escape_text(std::string_view text) {
   std::size_t size = text.size();
   for (const char c : text) size += c == '\\' || c == '\n';

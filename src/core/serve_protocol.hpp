@@ -64,6 +64,9 @@ struct ParseResult {
 /// Parses one request line. Never throws; never crashes on arbitrary bytes.
 ParseResult parse_request(std::string_view line);
 
+/// True when `id` is a legal request id (the `id` rule above).
+bool valid_id(std::string_view id) noexcept;
+
 /// Escapes multi-line payload text onto one protocol line:
 /// '\\' -> "\\\\", '\n' -> "\\n". unescape_text inverts it (unknown escape
 /// sequences and a trailing lone backslash pass through unchanged).

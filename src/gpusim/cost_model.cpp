@@ -159,8 +159,7 @@ KernelProfile KernelCostModel::evaluate(const KernelAnalysis& a,
   regs *= 1.0 + c_.unroll_reg_growth * (s.unroll - 1.0);
   p.regs_per_thread = regs;
   if (regs > c_.crash_regs) {
-    p.crash_reason = "register pressure: " + std::to_string(static_cast<int>(regs)) +
-                     " regs/thread exceeds the build limit";
+    p.crash_reason = "register pressure: regs/thread exceeds the build limit";
     return p;
   }
   const double spilled_regs = std::max(0.0, regs - c_.spill_threshold);
@@ -190,11 +189,7 @@ KernelProfile KernelCostModel::evaluate(const KernelAnalysis& a,
   }
   p.smem_per_block_bytes = smem;
   if (smem > a.smem_limit_bytes) {
-    p.crash_reason = "shared memory: block needs " +
-                     std::to_string(static_cast<long long>(smem / 1024.0)) +
-                     " KB, limit is " +
-                     std::to_string(static_cast<long long>(a.gpu->smem_per_block_kb)) +
-                     " KB";
+    p.crash_reason = "shared memory: block exceeds the per-block limit";
     return p;
   }
 
@@ -202,8 +197,7 @@ KernelProfile KernelCostModel::evaluate(const KernelAnalysis& a,
   const OccupancyResult occ =
       compute_occupancy(*a.gpu, s.threads_per_block(), regs, smem);
   if (occ.blocks_per_sm == 0) {
-    p.crash_reason = std::string("unlaunchable: zero occupancy (") +
-                     occ.limiter + ")";
+    p.crash_reason = "unlaunchable: zero occupancy";
     return p;
   }
   p.occupancy = occ.occupancy;

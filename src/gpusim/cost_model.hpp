@@ -22,7 +22,7 @@
 // The model is deterministic; measurement noise is added by the Simulator.
 #pragma once
 
-#include <string>
+#include <string_view>
 
 #include "gpusim/gpu_spec.hpp"
 #include "gpusim/occupancy.hpp"
@@ -35,7 +35,9 @@ namespace smart::gpusim {
 
 struct KernelProfile {
   bool ok = false;
-  std::string crash_reason;  // non-empty iff !ok
+  // One fixed literal per crash kind, non-empty iff !ok; the numbers behind
+  // it are in regs_per_thread / smem_per_block_bytes.
+  std::string_view crash_reason;
 
   double time_ms = 0.0;      // modelled execution time of one sweep
 
@@ -63,7 +65,7 @@ struct KernelProfile {
 /// alive and evaluate through the same model.
 struct KernelAnalysis {
   bool ok = false;            // false => every evaluate() reports the crash
-  std::string crash_reason;   // set when !ok (invalid OC / dims mismatch)
+  std::string_view crash_reason;  // set when !ok (invalid OC / dims mismatch)
   OptCombination oc;
   const GpuSpec* gpu = nullptr;
 

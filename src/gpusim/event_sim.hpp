@@ -20,7 +20,7 @@ namespace smart::gpusim {
 
 struct EventSimResult {
   bool ok = false;
-  std::string crash_reason;
+  std::string_view crash_reason;  // the analytic model's literal
   double time_ms = 0.0;
   long long blocks = 0;
   int waves = 0;              // ceil(blocks / concurrent slots)

@@ -25,9 +25,6 @@ std::uint64_t site_tag(FaultSite site) noexcept {
     case FaultSite::kMeasure: return 0x6d656173ULL;  // "meas"
     case FaultSite::kWorker: return 0x776f726bULL;   // "work"
     case FaultSite::kIo: return 0x696fULL;           // "io"
-    case FaultSite::kAccept: return 0x61636370ULL;   // "accp"
-    case FaultSite::kRead: return 0x72656164ULL;     // "read"
-    case FaultSite::kWrite: return 0x77726974ULL;    // "writ"
   }
   return 0;
 }
@@ -86,9 +83,6 @@ const char* to_string(FaultSite site) noexcept {
     case FaultSite::kMeasure: return "measure";
     case FaultSite::kWorker: return "worker";
     case FaultSite::kIo: return "io";
-    case FaultSite::kAccept: return "accept";
-    case FaultSite::kRead: return "read";
-    case FaultSite::kWrite: return "write";
   }
   return "?";
 }
@@ -155,22 +149,8 @@ FaultSpec parse_fault_spec(const std::string& text) {
       rule.site = FaultSite::kIo;
       rule.permanent = true;
       rule.p = parse_p(element, fields[1]);
-    } else if (fields[0] == "accept" || fields[0] == "read" ||
-               fields[0] == "write") {
-      if (fields.size() < 2) {
-        bad_spec(element, "expected " + fields[0] + ":p=<float>");
-      }
-      rule.site = fields[0] == "accept"  ? FaultSite::kAccept
-                  : fields[0] == "read" ? FaultSite::kRead
-                                        : FaultSite::kWrite;
-      rule.p = parse_p(element, fields[1]);
-      if (fields.size() > 2) {
-        rule.fails = parse_fails(element, fields[2]);
-        if (fields.size() > 3) bad_spec(element, "trailing fields");
-      }
     } else {
-      bad_spec(element, "unknown site '" + fields[0] +
-                            "' (measure|worker|io|accept|read|write)");
+      bad_spec(element, "unknown site '" + fields[0] + "' (measure|worker|io)");
     }
     spec.rules.push_back(rule);
   }

@@ -23,21 +23,11 @@
 //            | 'measure:permanent:p=' float
 //            | 'worker:p=' float [':fails=' uint]
 //            | 'io:p=' float
-//            | 'accept:p=' float [':fails=' uint]
-//            | 'read:p=' float [':fails=' uint]
-//            | 'write:p=' float [':fails=' uint]
 //
 // `p` is the probability that a given identity is faulty at all; `fails`
 // (default 1) is how many leading attempts a faulty transient/worker
 // identity fails before succeeding. Permanent and io faults fail every
 // attempt.
-//
-// The accept/read/write sites target the serve daemon (identity = the
-// connection counter, attempt = the per-connection operation index): an
-// injected accept fault drops a freshly accepted connection, read/write
-// faults sever an established one mid-stream. They throw transient
-// FaultErrors; the daemon's chaos contract is that surviving connections
-// still receive byte-deterministic replies.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +38,7 @@
 
 namespace smart::util {
 
-enum class FaultSite { kMeasure, kWorker, kIo, kAccept, kRead, kWrite };
+enum class FaultSite { kMeasure, kWorker, kIo };
 
 const char* to_string(FaultSite site) noexcept;
 

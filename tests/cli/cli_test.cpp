@@ -339,26 +339,34 @@ TEST(CliRun, ServeValidatesBatchingKnobs) {
 
 TEST(CliRun, ServeValidatesRobustnessKnobs) {
   // The PR 10 knobs: queue bound, deadline, connection capacity and
-  // per-connection limits all validate before any model I/O.
+  // per-session limits all validate before any model I/O.
   std::ostringstream out;
-  const auto reject = [&](std::vector<std::string> extra) {
-    std::vector<std::string> argv = {"serve", "--model", "m.smart", "--stdio"};
+  const auto reject = [&](const char* mode, std::vector<std::string> extra) {
+    std::vector<std::string> argv = {"serve", "--model", "m.smart"};
+    if (std::string(mode) == "--stdio") {
+      argv.push_back(mode);
+    } else {
+      argv.insert(argv.end(), {mode, "/nonexistent/s.sock"});
+    }
     argv.insert(argv.end(), extra.begin(), extra.end());
     EXPECT_THROW(run_command(parse_command_line(argv), out),
                  std::invalid_argument)
-        << "accepted: " << extra[0] << ' ' << extra[1];
+        << mode << " accepted: " << extra[0] << ' ' << extra[1];
   };
-  reject({"--max-queue", "0"});
-  reject({"--max-queue", "9999999"});
-  reject({"--max-queue", "1k"});
-  reject({"--deadline-us", "-1"});
-  reject({"--deadline-us", "fast"});
-  reject({"--max-conns", "0"});
-  reject({"--max-conns", "100000"});
-  reject({"--max-inflight", "0"});
-  reject({"--idle-timeout-ms", "-5"});
-  reject({"--write-timeout-ms", "-5"});
-  reject({"--faults", "bogus:p=1"});
+  reject("--stdio", {"--max-queue", "0"});
+  reject("--stdio", {"--max-queue", "9999999"});
+  reject("--stdio", {"--max-queue", "1k"});
+  reject("--stdio", {"--deadline-us", "-1"});
+  reject("--stdio", {"--deadline-us", "fast"});
+  reject("--socket", {"--max-conns", "0"});
+  reject("--socket", {"--max-conns", "100000"});
+  reject("--stdio", {"--max-inflight", "0"});
+  reject("--stdio", {"--idle-timeout-ms", "-5"});
+  reject("--socket", {"--write-timeout-ms", "-5"});
+  // stdin/stdout is one session: connection capacity and write timeouts
+  // (O_NONBLOCK on the inherited stdout) are socket-only, at any value.
+  reject("--stdio", {"--max-conns", "4"});
+  reject("--stdio", {"--write-timeout-ms", "100"});
 }
 
 TEST(CliRun, ServeMissingModelFileIsRuntimeError) {
@@ -497,6 +505,8 @@ TEST(CliRun, UnknownOptionIsUsageErrorForEverySubcommand) {
       {"advise", "--model", "m.smart", "--gpus", "V100"},
       {"serve", "--model", "m.smart", "--stdio", "--max-bach", "8"},
       {"serve", "--model", "m.smart", "--stdio", "--simd", "0"},
+      {"serve", "--model", "m.smart", "--socket", "s.sock", "--faults",
+       "seed=3;read:p=0.25"},
       {"codegen", "--oc", "ST", "--out", "dir"},
       {"features", "--shape", "box", "--order", "2", "--dim", "3"},
   };
@@ -521,15 +531,14 @@ TEST(CliRun, KnownOptionsPassTheCheck) {
       run_command(parse({"serve", "--model", "/nonexistent/m.smart", "--stdio",
                          "--max-batch", "8", "--max-wait-us", "200",
                          "--max-queue", "64", "--deadline-us", "0",
-                         "--max-conns", "4", "--max-inflight", "16",
-                         "--idle-timeout-ms", "0", "--write-timeout-ms", "0",
+                         "--max-inflight", "16", "--idle-timeout-ms", "0",
                          "--precision", "f64", "--timing", "1"}),
                   out),
       std::runtime_error);
   EXPECT_THROW(
       run_command(parse({"serve", "--model", "/nonexistent/m.smart",
                          "--socket", "/nonexistent/s.sock", "--max-inflight",
-                         "16"}),
+                         "16", "--max-conns", "4", "--write-timeout-ms", "0"}),
                   out),
       std::runtime_error);
   EXPECT_THROW(

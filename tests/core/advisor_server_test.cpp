@@ -1,9 +1,9 @@
 // AdvisorServer + StencilMart::advise_batch: the serve daemon's whole
 // determinism contract, tested in-process.
 //
-//   - advise_batch is BITWISE equal to per-item advise()/recommend_gpu(),
-//     with or without duplicates, serial or parallel (the PR 2 style
-//     equivalence the admission batcher is built on);
+//   - advise_batch is BITWISE equal to the per-variant reference of
+//     advise_reference.hpp, with or without duplicates, serial or parallel
+//     (the PR 2 style equivalence the admission batcher is built on);
 //   - the reply byte-stream is invariant across batch size, arrival order
 //     and memoization (response-SET equality);
 //   - serve advise payloads unescape to the exact `smartctl advise` report;
@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "advise_reference.hpp"
 #include "core/mart.hpp"
 #include "util/task_pool.hpp"
 
@@ -97,14 +98,17 @@ std::vector<AdviseBatchItem> sample_items() {
   };
 }
 
+/// advise_batch against single per-variant reference calls.
 void check_batch_matches_singles(const std::vector<AdviseBatchItem>& items) {
   const StencilMart& mart = test_mart();
+  static reference::AdviseReference ref(mart);
   const auto results = mart.advise_batch(items);
   ASSERT_EQ(results.size(), items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
     SCOPED_TRACE("item " + std::to_string(i));
     ASSERT_TRUE(results[i].ok()) << results[i].error;
-    const OcAdvice single = mart.advise(items[i].pattern, items[i].gpu);
+    const OcAdvice single =
+        ref.advise(items[i].pattern, ref.gpu_index(items[i].gpu));
     EXPECT_EQ(results[i].advice.group, single.group);
     EXPECT_EQ(results[i].advice.group_name, single.group_name);
     EXPECT_EQ(results[i].advice.oc.name(), single.oc.name());
@@ -112,7 +116,7 @@ void check_batch_matches_singles(const std::vector<AdviseBatchItem>& items) {
     expect_bitwise(results[i].advice.expected_time_ms, single.expected_time_ms);
     expect_bitwise(results[i].advice.predicted_time_ms, single.predicted_time_ms);
     if (items[i].recommend) {
-      const GpuRecommendation rec = mart.recommend_gpu(items[i].pattern);
+      const GpuRecommendation rec = ref.recommend(items[i].pattern);
       EXPECT_EQ(results[i].rec.fastest_gpu, rec.fastest_gpu);
       EXPECT_EQ(results[i].rec.cheapest_gpu, rec.cheapest_gpu);
       expect_bitwise(results[i].rec.fastest_time_ms, rec.fastest_time_ms);

@@ -15,6 +15,7 @@
 #include "core/regression.hpp"
 #include "ml/gbdt.hpp"
 #include "ml/models.hpp"
+#include "stencil/features.hpp"
 #include "util/rng.hpp"
 #include "util/task_pool.hpp"
 
@@ -87,25 +88,34 @@ void check_regressor_equivalence(RegressorKind kind) {
     }
   }
 
-  // predict_variants (out-of-dataset entry point, re-encodes patterns) vs
-  // per-query predict_variant. Repeats each pattern across all GPUs so the
-  // ConvMLP unique-tensor gather path sees shared tensors.
+  // predict_variants (the out-of-dataset entry point) vs one-query calls
+  // and vs predict() of the instance each query restates. Repeats each
+  // pattern across all GPUs so the ConvMLP unique-tensor gather path sees
+  // shared tensors.
+  const std::size_t num_patterns = std::min<std::size_t>(10, idxs.size());
+  std::vector<std::vector<float>> features(num_patterns);
   std::vector<VariantQuery> queries;
-  for (std::size_t i = 0; i < std::min<std::size_t>(10, idxs.size()); ++i) {
+  std::vector<std::pair<std::size_t, std::size_t>> restated;
+  for (std::size_t i = 0; i < num_patterns; ++i) {
     const RegressionInstance& ins = task.instances()[idxs[i]];
+    const stencil::StencilPattern& pattern = ds.stencils[ins.stencil];
+    for (const double v :
+         stencil::extract_features(pattern, ds.config.max_order).to_vector()) {
+      features[i].push_back(static_cast<float>(v));
+    }
     for (const std::size_t gpu : gpus) {
-      queries.push_back({&ds.stencils[ins.stencil], ds.problems[ins.stencil],
+      queries.push_back({&pattern, features[i], ds.problems[ins.stencil],
                          ins.oc, ds.settings[ins.stencil][ins.oc][ins.setting],
                          gpu});
+      restated.emplace_back(idxs[i], gpu);
     }
   }
   const std::vector<double> batched = task.predict_variants(queries);
   ASSERT_EQ(batched.size(), queries.size());
   for (std::size_t q = 0; q < queries.size(); ++q) {
+    expect_bitwise(batched[q], task.predict_variants({&queries[q], 1})[0]);
     expect_bitwise(batched[q],
-                   task.predict_variant(*queries[q].pattern, queries[q].problem,
-                                        queries[q].oc, queries[q].setting,
-                                        queries[q].gpu));
+                   task.predict(restated[q].first, restated[q].second));
   }
 }
 

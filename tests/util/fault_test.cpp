@@ -63,42 +63,12 @@ TEST(FaultSpec, ToStringRoundTrips) {
   EXPECT_EQ(again.to_string(), spec.to_string());
 }
 
-TEST(FaultSpec, ParsesServeSites) {
-  // The serve daemon's sites use the short grammar: site:p=F[:fails=K].
-  const FaultSpec spec =
-      parse_fault_spec("seed=3;accept:p=0.5;read:p=0.25:fails=2;write:p=1");
-  ASSERT_EQ(spec.rules.size(), 3u);
-  EXPECT_EQ(spec.rules[0].site, FaultSite::kAccept);
-  EXPECT_DOUBLE_EQ(spec.rules[0].p, 0.5);
-  EXPECT_EQ(spec.rules[1].site, FaultSite::kRead);
-  EXPECT_EQ(spec.rules[1].fails, 2);
-  EXPECT_FALSE(spec.rules[1].permanent);
-  EXPECT_EQ(spec.rules[2].site, FaultSite::kWrite);
-  // to_string round trip covers the new sites too.
-  const FaultSpec again = parse_fault_spec(spec.to_string());
-  ASSERT_EQ(again.rules.size(), 3u);
-  EXPECT_EQ(again.rules[0].site, FaultSite::kAccept);
-  EXPECT_EQ(again.rules[1].site, FaultSite::kRead);
-  EXPECT_EQ(again.rules[2].site, FaultSite::kWrite);
-  EXPECT_EQ(again.to_string(), spec.to_string());
-  // Serve sites are independent of each other and of the classic sites.
-  const FaultInjector injector(parse_fault_spec("seed=3;read:p=1"));
-  EXPECT_NE(injector.check(FaultSite::kRead, 1, 0), nullptr);
-  EXPECT_EQ(injector.check(FaultSite::kAccept, 1, 0), nullptr);
-  EXPECT_EQ(injector.check(FaultSite::kWrite, 1, 0), nullptr);
-  EXPECT_EQ(injector.check(FaultSite::kIo, 1, 0), nullptr);
-}
-
-TEST(FaultSpec, RejectsMalformedServeElements) {
-  EXPECT_THROW(parse_fault_spec("accept"), std::invalid_argument);
-  EXPECT_THROW(parse_fault_spec("read:p=2"), std::invalid_argument);
-  EXPECT_THROW(parse_fault_spec("write:p=0.5:fails=0"), std::invalid_argument);
-  EXPECT_THROW(parse_fault_spec("accept:p=0.5:bogus=1"),
-               std::invalid_argument);
-}
-
 TEST(FaultSpec, RejectsMalformedElements) {
   EXPECT_THROW(parse_fault_spec("bogus:p=0.5"), std::invalid_argument);
+  // The serve daemon has no fault sites.
+  EXPECT_THROW(parse_fault_spec("accept:p=0.5"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_spec("read:p=0.25:fails=2"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_spec("write:p=1"), std::invalid_argument);
   EXPECT_THROW(parse_fault_spec("measure:sometimes:p=0.5"),
                std::invalid_argument);
   EXPECT_THROW(parse_fault_spec("measure:transient:p=1.5"),
@@ -289,7 +259,7 @@ TEST(FaultSpec, MutationFuzzFailsNamedOrRoundTrips) {
       "seed=42;measure:transient:p=0.5:fails=3;measure:permanent:p=0.25;"
       "worker:p=0.125;io:p=1",
       "seed=13;measure:transient:p=0.05;measure:permanent:p=0.01",
-      "seed=7;accept:p=0.2;read:p=0.01:fails=2;write:p=0.3",
+      "seed=7",
       "worker:p=0.001:fails=1000000;io:p=0",
       "measure:transient:p=1e-3"};
   util::Rng rng(20261019);
