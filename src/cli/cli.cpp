@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <initializer_list>
 #include <iostream>
 #include <limits>
@@ -17,7 +16,6 @@
 #include "core/serialize.hpp"
 #include "core/serve_daemon.hpp"
 #include "core/stencilmart.hpp"
-#include "ml/simd.hpp"
 #include "stencil/features.hpp"
 #include "stencil/tensor_repr.hpp"
 #include "util/fault.hpp"
@@ -40,23 +38,6 @@ void known_options(const CommandLine& cmd,
       throw std::invalid_argument(cmd.command + ": unknown option --" + key);
     }
   }
-}
-
-/// Validates the inference precision before any expensive work, so a typo
-/// exits 2 instantly: SMART_PRECISION (the default) and the optional
-/// --precision that overrides it. Returns --precision ("" = inherit).
-std::string precision_option(const CommandLine& cmd, const char* subcommand) {
-  const auto check = [subcommand](const std::string& value, const char* name) {
-    if (value != "f64" && value != "f32") {
-      throw std::invalid_argument(std::string(subcommand) + ": " + name +
-                                  " must be f64 or f32 (got '" + value + "')");
-    }
-  };
-  const char* env = std::getenv("SMART_PRECISION");
-  if (env != nullptr && *env != '\0') check(env, "SMART_PRECISION");
-  const std::string precision = cmd.get("precision", "");
-  if (!precision.empty()) check(precision, "--precision");
-  return precision;
 }
 
 stencil::StencilPattern shape_from_options(const CommandLine& cmd) {
@@ -318,16 +299,11 @@ int cmd_advise(const CommandLine& cmd, std::ostream& out) {
   // shape/dims/order are read by shape_from_options(), stencils and seed
   // by mart_config().
   known_options(cmd, {"shape", "dims", "order", "gpu", "model", "corpus",
-                      "precision", "stencils", "seed", "timing"});
+                      "stencils", "seed", "timing"});
   const auto pattern = shape_from_options(cmd);
   if (cmd.has("model") && cmd.has("corpus")) {
     throw std::invalid_argument(
         "advise: --model and --corpus are mutually exclusive");
-  }
-  const std::string precision = precision_option(cmd, "advise");
-  std::optional<ml::PrecisionSection> precision_section;
-  if (!precision.empty()) {
-    precision_section.emplace(ml::precision_from_string(precision.c_str()));
   }
 
   std::optional<core::StencilMart> mart;
@@ -372,8 +348,7 @@ int cmd_serve(const CommandLine& cmd, std::ostream& out) {
   // instant (and exit 2) instead of surfacing after seconds of deserializing.
   known_options(cmd, {"model", "socket", "stdio", "max-batch", "max-wait-us",
                       "max-queue", "deadline-us", "max-conns", "max-inflight",
-                      "idle-timeout-ms", "write-timeout-ms", "precision",
-                      "timing"});
+                      "idle-timeout-ms", "write-timeout-ms", "timing"});
   if (!cmd.has("model")) {
     throw std::invalid_argument("serve: --model FILE is required");
   }
@@ -432,7 +407,6 @@ int cmd_serve(const CommandLine& cmd, std::ostream& out) {
   if (limits.write_timeout_ms < 0) {
     throw std::invalid_argument("serve: --write-timeout-ms must be >= 0");
   }
-  config.precision = precision_option(cmd, "serve");
   options.timing = cmd.get_int("timing", 0) != 0;
 
   // In stdio mode stdout is the protocol stream: the startup banner (which
@@ -564,7 +538,7 @@ std::string usage() {
   return
       "smartctl — StencilMART command line\n"
       "  (SMART_THREADS caps the task pool; SMART_TIMING=1 prints counters;\n"
-      "   SMART_PRECISION=f32 relaxed-FP inference; unknown options exit 2)\n"
+      "   unknown options exit 2)\n"
       "  generate --dims D --order N --count K [--seed S]   random stencils\n"
       "  profile  --dims D --stencils N [--out FILE]        build a corpus\n"
       "           [--checksum] [--timing]                   determinism digest\n"
@@ -579,13 +553,12 @@ std::string usage() {
       "  train    --out MODEL [--corpus FILE] [--timing 1]  fit + save a model\n"
       "  advise   --shape star|box|cross --dims D --order N\n"
       "           [--gpu NAME] [--corpus FILE] [--timing 1] best-OC advice\n"
-      "           [--model MODEL] [--precision f64|f32]     serve a saved model\n"
+      "           [--model MODEL]                           serve a saved model\n"
       "  serve    --model MODEL [--socket PATH | --stdio]   resident daemon\n"
       "           [--max-batch N] [--max-wait-us U] [--timing]\n"
       "           [--max-queue N] [--deadline-us U]          shedding\n"
       "           [--max-inflight N] [--idle-timeout-ms T]   per session\n"
       "           [--max-conns N] [--write-timeout-ms T]     --socket only\n"
-      "           [--precision f64|f32]                      f32 = relaxed-FP inference\n"
       "           (line protocol: advise|predict|stats|ping|healthz|reload|shutdown;\n"
       "            batches concurrent requests, memoizes per stencil;\n"
       "            SIGHUP or `reload` hot-swaps the --model artifact)\n"

@@ -135,10 +135,6 @@ AdvisorServer::AdvisorServer(ModelSnapshot initial, ServeConfig config,
   if (config_.deadline_us < 0) {
     throw std::invalid_argument("AdvisorServer: deadline_us must be >= 0");
   }
-  if (!config_.precision.empty()) {
-    precision_override_.emplace(
-        ml::precision_from_string(config_.precision.c_str()));
-  }
   batcher_ = std::thread([this] { batcher_loop(); });
 }
 

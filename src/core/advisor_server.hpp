@@ -53,7 +53,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -62,7 +61,6 @@
 
 #include "core/mart.hpp"
 #include "core/serve_protocol.hpp"
-#include "ml/simd.hpp"
 #include "util/histogram.hpp"
 
 namespace smart::core {
@@ -92,15 +90,6 @@ struct ServeConfig {
   /// Per-request deadline: a queued request older than this when its batch
   /// starts executing is shed with a structured deadline error. 0 disables.
   long long deadline_us = 0;
-  /// Inference-precision override held for the server's lifetime (the
-  /// knob is process-global — see ml/simd.hpp — so the batcher thread
-  /// inherits it; the previous value is restored on destruction).
-  /// `precision` is "" (inherit), "f64" or "f32". An unknown precision
-  /// string throws std::invalid_argument at construction. With "f32" the
-  /// determinism contract below still holds per machine: the relaxed
-  /// kernels' per-element math is batch-size-, row-group- and
-  /// thread-count-invariant.
-  std::string precision;
 };
 
 /// Snapshot of the serve counters (the `stats` verb payload).
@@ -207,10 +196,6 @@ class AdvisorServer {
   ServeCounters snapshot_locked() const;
 
   ServeConfig config_;
-  // Applied before the batcher thread spawns; destroyed after it joins
-  // (members precede batcher_, and the destructor joins explicitly), so the
-  // override covers every batch the server ever executes.
-  std::optional<ml::PrecisionSection> precision_override_;
 
   // Epoch-tagged model slot. model_mu_ guards the snapshot; epoch_ is
   // additionally atomic so healthz/stats read it without the lock. Batches

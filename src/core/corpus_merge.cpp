@@ -6,6 +6,7 @@
 #include <iterator>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 
 #include "util/timing.hpp"
 
@@ -98,7 +99,16 @@ ProfileDataset merge_shard_corpora(std::vector<ProfileDataset> shards,
                std::to_string(count) + ")");
     }
   }
-  std::vector<std::size_t> pos_of_index(count, shards.size());
+  // (index, file) pairs sorted by index: the checks below size nothing
+  // from the count a header claims, only from the files given. Once they
+  // pass, count == shards.size() and file_of_index[i].second is the file
+  // holding shard i.
+  std::vector<std::pair<std::size_t, std::size_t>> file_of_index;
+  file_of_index.reserve(shards.size());
+  for (std::size_t k = 0; k < shards.size(); ++k) {
+    file_of_index.emplace_back(shards[k].shard.index, k);
+  }
+  std::sort(file_of_index.begin(), file_of_index.end());
   for (std::size_t k = 0; k < shards.size(); ++k) {
     const std::size_t i = shards[k].shard.index;
     if (i >= count) {
@@ -106,16 +116,22 @@ ProfileDataset merge_shard_corpora(std::vector<ProfileDataset> shards,
                                     " out of range for an " +
                                     std::to_string(count) + "-way partition");
     }
-    if (pos_of_index[i] != shards.size()) {
+    const std::size_t first =
+        std::lower_bound(file_of_index.begin(), file_of_index.end(),
+                         std::pair<std::size_t, std::size_t>{i, 0})
+            ->second;
+    if (first != k) {
       fail(name_of(sources, k),
            "duplicate shard " + std::to_string(i) + "/" +
                std::to_string(count) + " (already provided by " +
-               name_of(sources, pos_of_index[i]) + ")");
+               name_of(sources, first) + ")");
     }
-    pos_of_index[i] = k;
   }
+  // The indices are now distinct and below count, so the smallest missing
+  // one is the first position whose index differs from it, at most
+  // shards.size().
   for (std::size_t i = 0; i < count; ++i) {
-    if (pos_of_index[i] == shards.size()) {
+    if (i == file_of_index.size() || file_of_index[i].first != i) {
       fail("partition", "missing shard " + std::to_string(i) + "/" +
                             std::to_string(count) +
                             " (a merge needs the complete partition 0..N-1)");
@@ -198,7 +214,7 @@ ProfileDataset merge_shard_corpora(std::vector<ProfileDataset> shards,
     for (std::size_t g = 0; g < num_gpus; ++g) {
       for (std::size_t oc = 0; oc < num_ocs; ++oc) {
         const std::size_t k =
-            pos_of_index[shard_owner(hashes[s], oc, g, count)];
+            file_of_index[shard_owner(hashes[s], oc, g, count)].second;
         merged.times[s][g][oc] = std::move(shards[k].times[s][g][oc]);
       }
     }

@@ -28,7 +28,7 @@ class GbdtRegressor {
   void fit(const Matrix& x, std::span<const float> y);
   /// Walks every tree on the row at once (FlatForest) and adds the leaf
   /// weights in ensemble order: bit-identical to summing each tree's
-  /// RegressionTree::predict_row, in every precision mode.
+  /// RegressionTree::predict_row.
   double predict_row(std::span<const float> features) const;
   /// Batched prediction: predict_row on every row, rows fanned over the
   /// task pool in blocks, so every output is bit-identical to predict_row

@@ -102,18 +102,6 @@ void matmul_into(const Matrix& a, const Matrix& b, Matrix& c);
 void matmul_bias_act_into(const Matrix& a, const Matrix& b, const Matrix& bias,
                           bool relu, Matrix& c);
 
-/// Relaxed float32 variant of matmul_bias_act_into() (the SMART_PRECISION
-/// "f32" mode, DESIGN.md §13): accumulation is still per-element over k
-/// ascending, but mul+add may contract to FMA and the column-remainder path
-/// splits the dot product over interleaved partial sums, so results are
-/// only tolerance-equivalent to the strict kernel. Dispatches once at
-/// runtime to the widest ISA this CPU supports (AVX-512F, then AVX2+FMA)
-/// and falls back to a portable scalar-vector build elsewhere. For a fixed
-/// machine the output is deterministic and independent of batch size,
-/// blocking and thread count, exactly like the strict kernel.
-void matmul_bias_act_relaxed_into(const Matrix& a, const Matrix& b,
-                                  const Matrix& bias, bool relu, Matrix& c);
-
 /// C = A * B^T ((n x k) * (m x k) -> n x m).
 Matrix matmul_bt(const Matrix& a, const Matrix& b);
 

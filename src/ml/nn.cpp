@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "ml/simd.hpp"
 #include "util/task_pool.hpp"
 
 namespace smart::ml {
@@ -41,11 +40,7 @@ Matrix Dense::forward(const Matrix& x) {
 }
 
 void Dense::infer_fused(const Matrix& x, Matrix& out, bool relu) {
-  if (inference_precision() == Precision::kRelaxed) {
-    matmul_bias_act_relaxed_into(x, w_, b_, relu, out);
-  } else {
-    matmul_bias_act_into(x, w_, b_, relu, out);
-  }
+  matmul_bias_act_into(x, w_, b_, relu, out);
 }
 
 Matrix Dense::backward(const Matrix& grad_out) {

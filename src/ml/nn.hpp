@@ -54,10 +54,9 @@ class Dense final : public Layer {
   Matrix forward(const Matrix& x) override;
   /// Dense's inference step, run by Sequential::infer for every Dense
   /// layer (with the following ReLU folded in when there is one):
-  /// out = act(x * W + b) in one pass. In the default strict precision this
-  /// is bit-identical to forward() (+ a ReLU pass when `relu`); in relaxed
-  /// "f32" precision it dispatches the runtime-selected SIMD kernel
-  /// (ml/simd.hpp), which is tolerance-equivalent only.
+  /// out = act(x * W + b) in one pass of the strict fused kernel
+  /// matmul_bias_act_into, bit-identical to forward() (+ a ReLU pass when
+  /// `relu`).
   void infer_fused(const Matrix& x, Matrix& out, bool relu);
   Matrix backward(const Matrix& grad_out) override;
   void collect_params(std::vector<ParamRef>& out) override;
@@ -177,10 +176,8 @@ class Sequential {
   /// returned reference is valid until the next forward/infer call.
   ///
   /// Every Dense runs Dense::infer_fused, and a Dense followed by a ReLU
-  /// executes as one fused kernel step. In strict precision the fusion is
-  /// bit-identical to forward(); only the relaxed "f32" precision changes
-  /// values (within the equivalence suite's tolerance). Batch size
-  /// may shrink or grow freely between calls: every layer reshapes the
+  /// executes as one fused kernel step, bit-identical to forward(). Batch
+  /// size may shrink or grow freely between calls: every layer reshapes the
   /// scratch buffers before writing, and the matmul kernels reject aliased
   /// in/out matrices outright.
   const Matrix& infer(const Matrix& x);

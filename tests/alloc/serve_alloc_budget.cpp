@@ -40,12 +40,13 @@ namespace smart::core {
 namespace {
 
 /// Allocations per request this path reached when the budget was set,
-/// rounded up to whole allocations: 31.99 per advise (four variants) and
-/// 23.01 per predict (one variant), of which parse 2, reply payload 1 and
-/// reply line 1. A change that adds heap work per request fails here; one
-/// that removes some should lower the budget.
-constexpr double kAdviseBudget = 32.0;
-constexpr double kPredictBudget = 24.0;
+/// rounded up to whole allocations: 21.37 per advise (four variants) and
+/// 17.07 per predict (one variant), of which parse 2, reply payload 1 and
+/// reply line 1, at SMART_THREADS=1 and unrestricted alike. A change that
+/// adds heap work per request fails here; one that removes some should
+/// lower the budget.
+constexpr double kAdviseBudget = 22.0;
+constexpr double kPredictBudget = 18.0;
 
 const StencilMart& serving_mart() {
   static const StencilMart mart = [] {

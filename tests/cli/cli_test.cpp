@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -503,8 +502,10 @@ TEST(CliRun, UnknownOptionIsUsageErrorForEverySubcommand) {
       {"gpus", "--bogus", "1"},
       {"train", "--out", "m.smart", "--corpse", "c.txt"},
       {"advise", "--model", "m.smart", "--gpus", "V100"},
+      {"advise", "--model", "m.smart", "--precision", "f64"},
       {"serve", "--model", "m.smart", "--stdio", "--max-bach", "8"},
       {"serve", "--model", "m.smart", "--stdio", "--simd", "0"},
+      {"serve", "--model", "m.smart", "--stdio", "--precision", "f32"},
       {"serve", "--model", "m.smart", "--socket", "s.sock", "--faults",
        "seed=3;read:p=0.25"},
       {"codegen", "--oc", "ST", "--out", "dir"},
@@ -532,7 +533,7 @@ TEST(CliRun, KnownOptionsPassTheCheck) {
                          "--max-batch", "8", "--max-wait-us", "200",
                          "--max-queue", "64", "--deadline-us", "0",
                          "--max-inflight", "16", "--idle-timeout-ms", "0",
-                         "--precision", "f64", "--timing", "1"}),
+                         "--timing", "1"}),
                   out),
       std::runtime_error);
   EXPECT_THROW(
@@ -544,8 +545,8 @@ TEST(CliRun, KnownOptionsPassTheCheck) {
   EXPECT_THROW(
       run_command(parse({"advise", "--shape", "star", "--dims", "2", "--order",
                          "2", "--gpu", "V100", "--model",
-                         "/nonexistent/m.smart", "--precision", "f32",
-                         "--stencils", "8", "--seed", "3", "--timing", "1"}),
+                         "/nonexistent/m.smart", "--stencils", "8",
+                         "--seed", "3", "--timing", "1"}),
                   out),
       std::runtime_error);
   EXPECT_THROW(run_command(parse({"train", "--corpus", "/nonexistent/c.txt",
@@ -558,30 +559,6 @@ TEST(CliRun, KnownOptionsPassTheCheck) {
                                   "--timing", "1", "/nonexistent/s0.txt"}),
                            out),
                std::runtime_error);
-}
-
-TEST(CliRun, MalformedPrecisionEnvIsUsageErrorBeforeModelLoad) {
-  // SMART_PRECISION is checked where --precision is: a bad value exits 2
-  // before the (here nonexistent) model is read, even for a GBR artifact
-  // that would never consult it.
-  ASSERT_EQ(setenv("SMART_PRECISION", "f16", 1), 0);
-  std::ostringstream out;
-  const std::vector<std::vector<std::string>> commands = {
-      {"advise", "--model", "/nonexistent/m.smart"},
-      {"serve", "--model", "/nonexistent/m.smart", "--stdio"}};
-  for (const auto& argv : commands) {
-    try {
-      run_command(parse_command_line(argv), out);
-      ADD_FAILURE() << argv[0] << ": accepted SMART_PRECISION=f16";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("SMART_PRECISION"),
-                std::string::npos)
-          << e.what();
-    } catch (const std::exception& e) {
-      ADD_FAILURE() << argv[0] << ": not a usage error: " << e.what();
-    }
-  }
-  unsetenv("SMART_PRECISION");
 }
 
 TEST(CliRun, OnlyStdioServeAnswersOnStdout) {

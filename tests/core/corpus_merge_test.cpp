@@ -290,6 +290,15 @@ TEST(CorpusMergeTest, MergeRejectsMissingShard) {
   expect_merge_error(std::move(shards), "missing shard 2/3");
 }
 
+TEST(CorpusMergeTest, MergeSizesNothingFromTheHeaderCount) {
+  // The count comes from the `shard i N` header of a file, so a hand-edited
+  // header must not make the merge allocate one slot per claimed shard.
+  auto shards = build_all_shards(small_config(), 3);
+  shards.pop_back();
+  for (ProfileDataset& shard : shards) shard.shard.count = 1ull << 62;
+  expect_merge_error(std::move(shards), "missing shard 2/4611686018427387904");
+}
+
 TEST(CorpusMergeTest, MergeRejectsMixedShardCounts) {
   auto shards = build_all_shards(small_config(), 3);
   shards[1] = build_shard(small_config(), 1, 4);

@@ -1,9 +1,6 @@
 // Vectorized inference kernel contracts (DESIGN.md §13):
 //  - the fused bias+activation matmul is bit-identical to the unfused
-//    matmul + bias loop + ReLU pass it replaces (strict precision);
-//  - the relaxed ("f32") kernel is tolerance-equivalent to strict and its
-//    per-element math is batch-size invariant (the property the serve
-//    daemon's determinism contract relies on);
+//    matmul + bias loop + ReLU pass it replaces;
 //  - the one-row forest walk (16 trees of a row in lockstep) gives every
 //    tree's leaf weight bit-identical to RegressionTree::predict_row, and
 //    every GBDT prediction path the per-tree reference sum, NaN features,
@@ -32,7 +29,6 @@
 #include "ml/matrix.hpp"
 #include "ml/models.hpp"
 #include "ml/nn.hpp"
-#include "ml/simd.hpp"
 #include "ml/tree.hpp"
 #include "util/rng.hpp"
 #include "util/serialize_io.hpp"
@@ -75,9 +71,8 @@ Matrix unfused_reference(const Matrix& a, const Matrix& b, const Matrix& bias,
   return c;
 }
 
-// Shapes chosen to exercise the register-tile remainders (odd rows/cols),
-// the vector-lane remainders of the relaxed kernel, and the parallel
-// driver's worth_parallel threshold from both sides.
+// Shapes chosen to exercise the register-tile remainders (odd rows/cols)
+// and the parallel driver's worth_parallel threshold from both sides.
 struct Shape {
   std::size_t rows, inner, cols;
 };
@@ -121,77 +116,6 @@ TEST(SimdKernels, FusedStrictMatchesUnfusedBitwiseSerial) {
   }
 }
 
-TEST(SimdKernels, RelaxedMatchesStrictWithinTolerance) {
-  util::Rng rng(99);
-  for (const Shape& s : kShapes) {
-    const Matrix a = random_matrix(s.rows, s.inner, rng);
-    const Matrix b = random_matrix(s.inner, s.cols, rng);
-    const Matrix bias = random_matrix(1, s.cols, rng);
-    for (const bool relu : {false, true}) {
-      const Matrix ref = unfused_reference(a, b, bias, relu);
-      Matrix c;
-      matmul_bias_act_relaxed_into(a, b, bias, relu, c);
-      for (std::size_t r = 0; r < c.rows(); ++r) {
-        for (std::size_t j = 0; j < c.cols(); ++j) {
-          const double want = ref.at(r, j);
-          const double got = c.at(r, j);
-          // Reassociation/FMA error is a few ulps per accumulation chain;
-          // 1e-4 relative (1e-5 absolute near zero) is orders of magnitude
-          // above it and still catches any indexing bug outright.
-          EXPECT_NEAR(got, want, 1e-5 + 1e-4 * std::fabs(want))
-              << "rows=" << s.rows << " inner=" << s.inner
-              << " cols=" << s.cols << " at (" << r << ", " << j << ")";
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, RelaxedIsBatchSizeInvariant) {
-  // The serve determinism contract in relaxed mode: a row's output depends
-  // only on that row's values, never on which rows share the batch. Compute
-  // 37 rows at once, then re-run the first 5 rows alone — bitwise equal.
-  util::Rng rng(31);
-  const Matrix a = random_matrix(37, 29, rng);
-  const Matrix b = random_matrix(29, 43, rng);
-  const Matrix bias = random_matrix(1, 43, rng);
-  Matrix full;
-  matmul_bias_act_relaxed_into(a, b, bias, true, full);
-
-  Matrix head(5, a.cols());
-  for (std::size_t r = 0; r < head.rows(); ++r) {
-    for (std::size_t c = 0; c < a.cols(); ++c) head.at(r, c) = a.at(r, c);
-  }
-  Matrix part;
-  matmul_bias_act_relaxed_into(head, b, bias, true, part);
-  for (std::size_t r = 0; r < part.rows(); ++r) {
-    for (std::size_t j = 0; j < part.cols(); ++j) {
-      expect_bitwise(part.at(r, j), full.at(r, j));
-    }
-  }
-}
-
-TEST(SimdKernels, RelaxedIsThreadCountInvariant) {
-  // Same kernel serial vs parallel driver: bitwise equal (each row group's
-  // math is independent of the grouping).
-  util::Rng rng(53);
-  const Matrix a = random_matrix(64, 48, rng);
-  const Matrix b = random_matrix(48, 64, rng);
-  const Matrix bias = random_matrix(1, 64, rng);
-  Matrix parallel;
-  matmul_bias_act_relaxed_into(a, b, bias, true, parallel);
-  Matrix serial;
-  {
-    const util::SerialSection section;
-    matmul_bias_act_relaxed_into(a, b, bias, true, serial);
-  }
-  for (std::size_t r = 0; r < parallel.rows(); ++r) {
-    for (std::size_t j = 0; j < parallel.cols(); ++j) {
-      expect_bitwise(serial.at(r, j), parallel.at(r, j));
-    }
-  }
-}
-
 TEST(SimdKernels, KernelsRejectAliasedMatrices) {
   util::Rng rng(7);
   Matrix a = random_matrix(8, 8, rng);
@@ -203,10 +127,6 @@ TEST(SimdKernels, KernelsRejectAliasedMatrices) {
   EXPECT_THROW(matmul_bias_act_into(a, b, bias, true, a),
                std::invalid_argument);
   EXPECT_THROW(matmul_bias_act_into(a, b, bias, true, bias),
-               std::invalid_argument);
-  EXPECT_THROW(matmul_bias_act_relaxed_into(a, b, bias, true, a),
-               std::invalid_argument);
-  EXPECT_THROW(matmul_bias_act_relaxed_into(a, b, bias, true, bias),
                std::invalid_argument);
 }
 
@@ -230,8 +150,7 @@ void check_shrink_grow(Sequential& net, const Matrix& big, const Matrix& small) 
     }
   }
   // A one-row batch exercises every remainder path; rows must match the
-  // same row inside the big batch in strict mode and in relaxed mode (the
-  // relaxed kernel's per-element math is batch-size invariant).
+  // same row inside the big batch.
   Matrix one(1, big.cols());
   for (std::size_t c = 0; c < big.cols(); ++c) one.at(0, c) = big.at(0, c);
   const Matrix single = net.infer(one);
@@ -251,8 +170,6 @@ TEST(SimdKernels, SequentialInferShrinkGrowBatches) {
       small.at(r, c) = big.at(r, c);
     }
   }
-  check_shrink_grow(net, big, small);
-  const PrecisionSection relaxed(Precision::kRelaxed);
   check_shrink_grow(net, big, small);
 }
 
@@ -443,18 +360,6 @@ TEST(FlatForest, LockstepMatchesPointerWalkBitwise) {
     reg.fit(x, y);
     ASSERT_EQ(reg.num_trees(), static_cast<std::size_t>(rounds));
     expect_regressor_matches_reference(reg, params.learning_rate, x);
-  }
-  // Relaxed precision must not change GBDT bits (no float accumulation,
-  // no precision knob read).
-  GbdtParams params;
-  params.rounds = 20;
-  GbdtRegressor reg(params);
-  reg.fit(x, y);
-  const std::vector<double> strict = reg.predict(x);
-  const PrecisionSection relaxed(Precision::kRelaxed);
-  const std::vector<double> flat_f32 = reg.predict(x);
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    expect_bitwise(flat_f32[r], strict[r]);
   }
 }
 
